@@ -98,7 +98,10 @@ class RunConfig:
 
 
 def _result(name: str, err, tol: float) -> CheckResult:
+    """A check outcome; a non-finite error is reported as inf and fails."""
     err = float(err)
+    if not math.isfinite(err):
+        err = math.inf
     return CheckResult(name, err, tol, bool(err <= tol))
 
 
@@ -164,6 +167,11 @@ def check_orbit_formulas(seed: int, n: int = 500) -> CheckResult:
     return _result("orbit_coordinate_formulas", err, 1e-10)
 
 
+# steps of check_ode_sweep per magnetic_grid call; its temporaries are a few
+# dozen arrays of _SWEEP_BLOCK * n floats, so the block stays small
+_SWEEP_BLOCK = 100
+
+
 def check_ode_sweep(
     seed: int,
     n: int = 200,
@@ -175,7 +183,10 @@ def check_ode_sweep(
 
     n random instances with random start points in [-2, 2]^3, integrated
     across [0, s_max]; position error is compared against the
-    left-translated closed form at every step.
+    left-translated closed form at every step.  The RK4 states of a block
+    of _SWEEP_BLOCK steps are buffered and compared in one pass, with the
+    closed form on the whole (block, n) grid of s = k*h, so memory stays
+    bounded by block x n whatever the step count.
     """
     rng = np.random.default_rng([seed, 4])
     vel = _unit_velocities(rng, n)
@@ -188,27 +199,31 @@ def check_ode_sweep(
     ct0 = state[5] + 0.5 * (state[3] * state[1] - state[0] * state[4])
 
     nsteps = int(round(s_max / h))
-    pos_err = 0.0
-    speed_err = 0.0
-    angle_err = 0.0
-    for k in range(1, nsteps + 1):
-        state = batch_step(state, h, q, j_strength)
-        x, y, z, vx, vy, vz = state
+    states = np.empty((_SWEEP_BLOCK, 6, n))
+    # np.maximum keeps a NaN that Python's max would drop
+    pos_err2 = speed_err = angle_err = 0.0
+    for k0 in range(1, nsteps + 1, _SWEEP_BLOCK):
+        m = min(_SWEEP_BLOCK, nsteps + 1 - k0)
+        for i in range(m):
+            state = batch_step(state, h, q, j_strength)
+            states[i] = state
+        x, y, z, vx, vy, vz = states[:m].transpose(1, 0, 2)
 
-        origin = magnetic_grid(a, b, c, q, k * h)
-        cx = x0 + origin[:, 0]
-        cy = y0 + origin[:, 1]
-        cz = z0 + origin[:, 2] + 0.5 * (x0 * origin[:, 1] - origin[:, 0] * y0)
+        s = np.arange(k0, k0 + m)[:, None] * h
+        origin = magnetic_grid(a, b, c, q, s)
+        cx = x0 + origin[..., 0]
+        cy = y0 + origin[..., 1]
+        cz = z0 + origin[..., 2] + 0.5 * (x0 * origin[..., 1] - origin[..., 0] * y0)
         d2 = (x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2
-        pos_err = max(pos_err, math.sqrt(float(np.max(d2))))
+        pos_err2 = np.maximum(pos_err2, np.max(d2))
 
         ct = vz + 0.5 * (vx * y - x * vy)
         speed = np.sqrt(vx * vx + vy * vy + ct * ct)
-        speed_err = max(speed_err, float(np.max(np.abs(speed - 1.0))))
-        angle_err = max(angle_err, float(np.max(np.abs(ct - ct0))))
+        speed_err = np.maximum(speed_err, np.max(np.abs(speed - 1.0)))
+        angle_err = np.maximum(angle_err, np.max(np.abs(ct - ct0)))
 
     return [
-        _result("ode_vs_closed_form", pos_err, 1e-6),
+        _result("ode_vs_closed_form", np.sqrt(pos_err2), 1e-6),
         _result("conservation_speed", speed_err, 1e-8),
         _result("conservation_contact_angle", angle_err, 1e-8),
     ]
@@ -219,7 +234,8 @@ def check_convergence(j_strength: float = 1.0) -> CheckResult:
 
     Halving the step must shrink the final-point error by at least 12
     (the fourth-order ideal is 16).  Reported max_error is the shortfall
-    12 - min(ratio), clamped at zero.
+    12 - min(ratio), clamped at zero, or inf when a ratio is not finite
+    (a NaN or zero error proves no order).
     """
     a, b, c, q = 0.8, 0.0, 0.6, 1.9
     target = magnetic_point(a, b, c, q, 10.0)
@@ -235,7 +251,10 @@ def check_convergence(j_strength: float = 1.0) -> CheckResult:
         errs[i] / errs[i + 1] if errs[i + 1] > 0.0 else math.inf
         for i in range(len(errs) - 1)
     ]
-    shortfall = max(0.0, 12.0 - min(ratios))
+    if all(math.isfinite(r) for r in ratios):
+        shortfall = max(0.0, 12.0 - min(ratios))
+    else:
+        shortfall = math.inf
     return _result("convergence_order", shortfall, 0.0)
 
 

@@ -147,37 +147,36 @@ def compare(
 
 
 # ---------------------------------------------------------------------------
-# array versions for sweeps over many trajectories at once
+# array versions for sweeps over many trajectories at once: the state of n
+# trajectories is one (6, n) array whose rows are x, y, z, vx, vy, vz
 
 
-def batch_rhs(x, y, z, vx, vy, vz, q, j_strength=1.0):
-    """_rhs on numpy arrays; q may be an array matching the states."""
+def batch_rhs(state, q, j_strength=1.0):
+    """_rhs on a (6, n) state; q may be an array of n charges."""
+    x, y, z, vx, vy, vz = state
     ct = vz + 0.5 * (vx * y - x * vy)
     w = q * j_strength + ct
     ax = -w * vy
     ay = w * vx
     az = -0.5 * (ax * y - x * ay)
-    return vx, vy, vz, ax, ay, az
+    return np.array((vx, vy, vz, ax, ay, az))
 
 
 def batch_step(state, h, q, j_strength=1.0):
-    """One RK4 step on a tuple of six equal-shaped arrays."""
-    k1 = batch_rhs(*state, q, j_strength)
-    k2 = batch_rhs(*(u + 0.5 * h * k for u, k in zip(state, k1)), q, j_strength)
-    k3 = batch_rhs(*(u + 0.5 * h * k for u, k in zip(state, k2)), q, j_strength)
-    k4 = batch_rhs(*(u + h * k for u, k in zip(state, k3)), q, j_strength)
-    return tuple(
-        u + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-        for u, a, b, c, d in zip(state, k1, k2, k3, k4)
-    )
+    """One RK4 step on a (6, n) state."""
+    k1 = batch_rhs(state, q, j_strength)
+    k2 = batch_rhs(state + 0.5 * h * k1, q, j_strength)
+    k3 = batch_rhs(state + 0.5 * h * k2, q, j_strength)
+    k4 = batch_rhs(state + h * k3, q, j_strength)
+    return state + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def batch_initial_state(starts, velocities):
-    """Build the six state arrays from (n,3) starts and frame velocities."""
+    """The (6, n) state from (n,3) starts and frame velocities."""
     starts = np.asarray(starts, dtype=float)
     vel = np.asarray(velocities, dtype=float)
-    x0, y0, z0 = starts[:, 0].copy(), starts[:, 1].copy(), starts[:, 2].copy()
-    a, b, c = vel[:, 0], vel[:, 1], vel[:, 2]
+    x0, y0, z0 = starts.T
+    a, b, c = vel.T
     # frame to coordinates at the start points
     vz = c - 0.5 * (a * y0 - b * x0)
-    return (x0, y0, z0, a.copy(), b.copy(), vz)
+    return np.array((x0, y0, z0, a, b, vz))

@@ -5,6 +5,8 @@ pass/fail line for each.  These call the same check functions the
 `nilmag verify` command uses, at full sweep sizes.
 """
 
+import math
+
 import pytest
 
 from nilmag.cli_reporting import (
@@ -91,3 +93,19 @@ def test_criterion_9_fault_sensitivity(capsys):
     out, _ = capsys.readouterr()
     assert code == 1
     assert '"pass": false' in out
+
+
+def test_nan_coupling_fails_the_integrator_checks():
+    """A NaN coupling must fail the sweep and the convergence order, not
+    vanish from their maxima."""
+    results = check_ode_sweep(SEED, n=20, j_strength=math.nan)
+    results.append(check_convergence(math.nan))
+    assert [r.name for r in results] == [
+        "ode_vs_closed_form",
+        "conservation_speed",
+        "conservation_contact_angle",
+        "convergence_order",
+    ]
+    for result in results:
+        assert not result.passed
+        assert result.max_error == math.inf

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import shutil
 import subprocess
@@ -232,9 +234,18 @@ class TestOrbit:
         assert [sample["z"] for sample in data["samples"]] == [0.0, 0.5, 1.0]
 
 
+@pytest.fixture(scope="module")
+def verify_seed7():
+    """Exit code and stdout of one `nilmag verify --seed 7`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "--seed", "7"])
+    return code, out.getvalue()
+
+
 class TestVerify:
-    def test_suite_passes_and_reports(self, capsys):
-        code, out, _ = run_cli(capsys, "verify")
+    def test_suite_passes_and_reports(self, verify_seed7):
+        code, out = verify_seed7
         assert code == 0
         data = json.loads(out)
         assert data["pass"] is True
@@ -244,10 +255,9 @@ class TestVerify:
             assert check["pass"] is True
             assert check["max_error"] <= check["tolerance"]
 
-    def test_report_is_reproducible(self):
-        first = report_json(build_report(run_checks(7)))
-        second = report_json(build_report(run_checks(7)))
-        assert first == second
+    def test_report_is_reproducible(self, verify_seed7):
+        _, out = verify_seed7
+        assert out == report_json(build_report(run_checks(7)))
 
 
 class TestInvocation:

@@ -16,9 +16,11 @@ from nilmag import (
     frame_to_coord,
     integrate,
     lorentz_rhs,
+    magnetic_grid,
     magnetic_point_from,
     magnetic_velocity,
 )
+from nilmag.cli_reporting import check_ode_sweep
 from nilmag.integrator import batch_initial_state, batch_step
 
 ORIGIN = NilPoint(0.0, 0.0, 0.0)
@@ -176,3 +178,47 @@ class TestBatch:
             assert abs(state[1][i] - final.point.y) <= 1e-13
             assert abs(state[2][i] - final.point.z) <= 1e-13
             assert abs(state[3][i] - frame_to_coord(final.point, final.velocity).dx) <= 1e-13
+
+
+def stepwise_ode_sweep(seed, n, h, s_max):
+    """check_ode_sweep's three errors, one magnetic_grid call per step."""
+    rng = np.random.default_rng([seed, 4])
+    v = rng.normal(size=(n, 3))
+    vel = v / np.linalg.norm(v, axis=1, keepdims=True)
+    q = rng.uniform(-2.0, 2.0, n)
+    starts = rng.uniform(-2.0, 2.0, (n, 3))
+    a, b, c = vel[:, 0], vel[:, 1], vel[:, 2]
+    x0, y0, z0 = starts[:, 0], starts[:, 1], starts[:, 2]
+
+    state = batch_initial_state(starts, vel)
+    ct0 = state[5] + 0.5 * (state[3] * state[1] - state[0] * state[4])
+    pos_err2 = speed_err = angle_err = 0.0
+    for k in range(1, int(round(s_max / h)) + 1):
+        state = batch_step(state, h, q)
+        x, y, z, vx, vy, vz = state
+        origin = magnetic_grid(a, b, c, q, k * h)
+        cx = x0 + origin[:, 0]
+        cy = y0 + origin[:, 1]
+        cz = z0 + origin[:, 2] + 0.5 * (x0 * origin[:, 1] - origin[:, 0] * y0)
+        d2 = (x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2
+        pos_err2 = max(pos_err2, float(np.max(d2)))
+        ct = vz + 0.5 * (vx * y - x * vy)
+        speed = np.sqrt(vx * vx + vy * vy + ct * ct)
+        speed_err = max(speed_err, float(np.max(np.abs(speed - 1.0))))
+        angle_err = max(angle_err, float(np.max(np.abs(ct - ct0))))
+    return [math.sqrt(pos_err2), speed_err, angle_err]
+
+
+class TestBlockedSweep:
+    @pytest.mark.parametrize(
+        "n, s_max",
+        [
+            (7, 0.1234),  # 123 steps: a full block and a partial one
+            (1, 0.25),
+            (3, 0.2),  # a whole number of blocks
+        ],
+    )
+    def test_matches_stepwise_sweep_exactly(self, n, s_max):
+        results = check_ode_sweep(11, n=n, h=1e-3, s_max=s_max)
+        assert [r.max_error for r in results] == stepwise_ode_sweep(11, n, 1e-3, s_max)
+        assert all(r.max_error > 0.0 for r in results)
