@@ -53,7 +53,7 @@ class InitialData:
 
     def __post_init__(self):
         v = self.velocity
-        if abs(v.a * v.a + v.b * v.b + v.c * v.c - 1.0) > 1e-12:
+        if not abs(v.a * v.a + v.b * v.b + v.c * v.c - 1.0) <= 1e-12:
             raise DomainError("initial velocity must have unit length")
 
 
@@ -77,48 +77,15 @@ class TrajectorySample:
         return cls(s, point, velocity, speed, velocity.c)
 
 
-def _require_unit(a: float, b: float, c: float) -> None:
-    if abs(a * a + b * b + c * c - 1.0) > 1e-12:
-        raise DomainError("velocity components must be a unit vector")
-
-
-def _k1(u: float) -> float:
-    return math.sin(u) / u if u != 0.0 else 1.0
-
-
-def _k2(u: float) -> float:
-    if u == 0.0:
-        return 0.0
-    s = math.sin(0.5 * u)
-    return -2.0 * s * s / u
-
-
-def _k3(u: float) -> float:
-    if abs(u) < 0.5:
-        u2 = u * u
-        acc = 0.0
-        for coef in reversed(_K3_COEFFS):
-            acc = acc * u2 + coef
-        return acc
-    return (u - math.sin(u)) / (u * u * u)
-
-
-def magnetic_point(a: float, b: float, c: float, q: float, s: float) -> NilPoint:
+def magnetic_point(a, b, c, q, s) -> NilPoint:
     """Charged trajectory from the origin with initial frame velocity
     (a, b, c), evaluated at arc length s.
 
     Unit-speed input is required (DomainError otherwise).  q = 0 gives
-    the geodesic.
+    the geodesic.  Scalar input gives float coordinates; broadcastable
+    arrays give arrays of the broadcast shape.
     """
-    _require_unit(a, b, c)
-    cq = q + c
-    u = cq * s
-    k1 = _k1(u)
-    k2 = _k2(u)
-    x = s * (a * k1 + b * k2)
-    y = s * (b * k1 - a * k2)
-    z = c * s + 0.5 * (a * a + b * b) * cq * s ** 3 * _k3(u)
-    return NilPoint(x, y, z)
+    return NilPoint(*_magnetic_xyz(a, b, c, q, s))
 
 
 def geodesic_point(a: float, b: float, c: float, s: float) -> NilPoint:
@@ -143,11 +110,11 @@ def magnetic_velocity(a: float, b: float, c: float, q: float, s: float) -> Frame
     """Frame velocity along the charged trajectory at arc length s.
 
     The contact cosine c is a first integral, the planar part rotates
-    at rate q + c.
+    at rate q + c.  Broadcasts over arrays like magnetic_point.
     """
     u = (q + c) * s
-    cu = math.cos(u)
-    su = math.sin(u)
+    cu = np.cos(u)
+    su = np.sin(u)
     return FrameVector(a * cu - b * su, a * su + b * cu, c)
 
 
@@ -185,7 +152,7 @@ def classify(a: float, b: float, c: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# vectorized evaluation, used by the verification sweeps
+# the closed-form kernels, evaluated on arrays
 
 
 def _k1_arr(u: np.ndarray) -> np.ndarray:
@@ -216,18 +183,17 @@ def _k3_arr(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def magnetic_grid(a, b, c, q, s_values) -> np.ndarray:
-    """Vectorized magnetic_point over broadcastable inputs.
-
-    Returns an array of shape broadcast(a, b, c, q, s_values) + (3,)
-    holding (x, y, z).  Same unit-speed requirement as the scalar form.
-    """
+def _magnetic_xyz(a, b, c, q, s):
+    """x, y, z of the charged trajectory from the origin, over
+    broadcastable inputs; floats for scalar input, else arrays of the
+    broadcast shape."""
     a, b, c, q, s = np.broadcast_arrays(
-        *(np.asarray(w, dtype=float) for w in (a, b, c, q, s_values))
+        *(np.asarray(w, dtype=float) for w in (a, b, c, q, s))
     )
     shape = a.shape
     a, b, c, q, s = (np.ravel(w) for w in (a, b, c, q, s))
-    if np.max(np.abs(a * a + b * b + c * c - 1.0)) > 1e-12:
+    # written so that a NaN component fails the check
+    if not np.max(np.abs(a * a + b * b + c * c - 1.0)) <= 1e-12:
         raise DomainError("velocity components must be unit vectors")
     cq = q + c
     u = cq * s
@@ -236,7 +202,15 @@ def magnetic_grid(a, b, c, q, s_values) -> np.ndarray:
     x = s * (a * k1 + b * k2)
     y = s * (b * k1 - a * k2)
     z = c * s + 0.5 * (a * a + b * b) * cq * s ** 3 * _k3_arr(u)
-    return np.stack([x, y, z], axis=-1).reshape(shape + (3,))
+    if not shape:
+        return float(x[0]), float(y[0]), float(z[0])
+    return x.reshape(shape), y.reshape(shape), z.reshape(shape)
+
+
+def magnetic_grid(a, b, c, q, s_values) -> np.ndarray:
+    """magnetic_point as one array of shape broadcast(a, b, c, q,
+    s_values) + (3,) holding (x, y, z)."""
+    return np.stack(_magnetic_xyz(a, b, c, q, s_values), axis=-1)
 
 
 def orbit_grid(w, s_max: float, steps: int) -> np.ndarray:

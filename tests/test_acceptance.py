@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+from nilmag import OscElement, OscVector, cli_reporting
 from nilmag.cli_reporting import (
     check_convergence,
     check_frame_gram,
@@ -109,3 +110,40 @@ def test_nan_coupling_fails_the_integrator_checks():
     for result in results:
         assert not result.passed
         assert result.max_error == math.inf
+
+
+# function replaced by one returning NaN -> (check, name of its failing result)
+NAN_FAULTS = {
+    "metric": (
+        lambda *args: math.nan,
+        lambda: check_frame_gram(SEED, n=5),
+        "frame_gram",
+    ),
+    "osc_multiply": (
+        lambda *args: OscElement(math.nan, 0.0, 0.0, 0.0),
+        lambda: check_group_identities(SEED, n=5)[0],
+        "matrix_subgroup_product",
+    ),
+    "u_tensor": (
+        lambda *args: OscVector(math.nan, 0.0, 0.0, 0.0),
+        check_u_tensor,
+        "u_tensor_table",
+    ),
+    "contact_form": (
+        lambda *args: math.nan,
+        check_reeb_lorentz,
+        "reeb_lorentz_identities",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(NAN_FAULTS))
+def test_nan_in_a_scalar_loop_check_fails_it(monkeypatch, name):
+    """A NaN from the function under test must fail its check with inf,
+    not drop out of the maximum."""
+    fake, check, result_name = NAN_FAULTS[name]
+    monkeypatch.setattr(cli_reporting, name, fake)
+    result = check()
+    assert result.name == result_name
+    assert not result.passed
+    assert result.max_error == math.inf

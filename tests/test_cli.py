@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -8,7 +9,15 @@ import sys
 import pytest
 
 from nilmag import OscVector, orbit_point
-from nilmag.cli_reporting import build_report, main, report_json, run_checks
+from nilmag.cli_reporting import (
+    _build_parser,
+    _result,
+    _validate,
+    build_report,
+    main,
+    report_json,
+    run_checks,
+)
 
 CHECK_NAMES = [
     "bch_nil",
@@ -146,6 +155,12 @@ class TestEmit:
             ("--s-max", "0"),
             ("--s-max", "-2"),
             ("--h", "0"),
+            ("--a", "nan"),
+            ("--q", "nan"),
+            ("--x0", "nan"),
+            ("--s-max", "inf"),
+            ("--s-max", "1e308"),
+            ("--s-max", "1e308", "--source", "rk4"),
         ],
     )
     def test_rejects_bad_grid(self, capsys, flags):
@@ -258,6 +273,21 @@ class TestVerify:
     def test_report_is_reproducible(self, verify_seed7):
         _, out = verify_seed7
         assert out == report_json(build_report(run_checks(7)))
+
+    def test_non_finite_error_is_strict_json_null(self):
+        text = report_json(build_report([_result("x", math.nan, 0.0)]))
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        data = json.loads(text, parse_constant=reject)
+        assert data["checks"][0]["max_error"] is None
+        assert data["pass"] is False
+
+    def test_fault_j_accepts_nan(self):
+        args = _build_parser().parse_args(["verify", "--fault-j", "nan"])
+        _validate(args)
+        assert math.isnan(args.fault_j)
 
 
 class TestInvocation:

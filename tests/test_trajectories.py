@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -30,6 +31,26 @@ ORIGIN = NilPoint(0.0, 0.0, 0.0)
 
 def pvec(p):
     return np.array([p.x, p.y, p.z])
+
+
+def mp_magnetic(a, b, c, q, s):
+    """(x, y, z) of the charged trajectory from the origin at 50 digits.
+
+    Written without the K1-K3 kernels: the planar part is the circle
+    (a sin u + b (cos u - 1), b sin u - a (cos u - 1)) / w and the height
+    is c s + (a^2 + b^2)(u - sin u) / (2 w^2), with w = q + c and u = w s;
+    w = 0 gives the straight line.
+    """
+    with mpmath.workdps(50):
+        a, b, c, q, s = (mpmath.mpf(float(v)) for v in (a, b, c, q, s))
+        w = q + c
+        if w * s == 0:
+            return np.array([float(a * s), float(b * s), float(c * s)])
+        u = w * s
+        x = (a * mpmath.sin(u) + b * (mpmath.cos(u) - 1)) / w
+        y = (b * mpmath.sin(u) - a * (mpmath.cos(u) - 1)) / w
+        z = c * s + (a * a + b * b) * (u - mpmath.sin(u)) / (2 * w * w)
+        return np.array([float(x), float(y), float(z)])
 
 
 def random_unit(rng):
@@ -75,6 +96,12 @@ class TestMagneticPoint:
         assert p.x == pytest.approx(math.sin(s), abs=5e-15)
         assert p.y == pytest.approx(1.0 - math.cos(s), abs=5e-15)
         assert p.z == pytest.approx((s - math.sin(s)) / 2.0, rel=1e-13, abs=1e-16)
+
+    def test_rejects_nan_velocity(self):
+        with pytest.raises(DomainError):
+            magnetic_point(math.nan, 0.0, 0.0, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            magnetic_grid(np.array([1.0, math.nan]), 0.0, 0.0, 1.0, 1.0)
 
     def test_charge_cancels_rotation(self):
         # q = -c freezes the planar rotation, the path is a straight line.
@@ -236,17 +263,17 @@ class TestOrbitPoint:
 
 class TestGrids:
     def test_magnetic_grid_matches_scalar(self):
+        """Each grid row matches the 50-digit reference at its own s."""
         s = np.array([0.0, 0.4, 1.1, 2.8])
         grid = magnetic_grid(0.8, 0.0, 0.6, 1.9, s)
         assert grid.shape == (4, 3)
         for i, si in enumerate(s):
-            want = magnetic_point(0.8, 0.0, 0.6, 1.9, float(si))
-            assert grid[i] == pytest.approx(pvec(want), abs=1e-13)
+            assert grid[i] == pytest.approx(mp_magnetic(0.8, 0.0, 0.6, 1.9, si), abs=1e-13)
 
     def test_magnetic_grid_scalar_input(self):
         got = magnetic_grid(1.0, 0.0, 0.0, 1.0, 0.7)
         assert got.shape == (3,)
-        assert got == pytest.approx(pvec(magnetic_point(1.0, 0.0, 0.0, 1.0, 0.7)), abs=1e-14)
+        assert got == pytest.approx(mp_magnetic(1.0, 0.0, 0.0, 1.0, 0.7), abs=1e-14)
 
     def test_magnetic_grid_broadcasts(self):
         a = np.array([[1.0], [0.0]])
@@ -254,9 +281,38 @@ class TestGrids:
         s = np.array([0.5, 1.0, 1.5])
         grid = magnetic_grid(a, b, 0.0, 0.3, s)
         assert grid.shape == (2, 3, 3)
-        assert grid[1, 2] == pytest.approx(
-            pvec(magnetic_point(0.0, 1.0, 0.0, 0.3, 1.5)), abs=1e-13
-        )
+        for i in range(2):
+            for j in range(3):
+                want = mp_magnetic(a[i, 0], b[i, 0], 0.0, 0.3, s[j])
+                assert grid[i, j] == pytest.approx(want, abs=1e-13)
+
+    @pytest.mark.parametrize("q", [-0.64, 1.3, -2.1])
+    def test_magnetic_grid_matches_mpmath(self, q):
+        """Rotation angles u = (q + c) s of none (q = -c), either sign,
+        either side of the K3 Taylor switch at |u| = 0.5, and many turns."""
+        a, b, c = 0.48, -0.6, 0.64
+        u = np.array([0.0, 1e-9, 0.25, 0.5 - 1e-9, 0.5 + 1e-9, 0.75, 30.0, 117.5, 400.0])
+        s = u if q == -c else u / (q + c)
+        if q != -c:
+            assert np.array_equal(np.abs((q + c) * s) < 0.5, u < 0.5)
+        grid = magnetic_grid(a, b, c, q, s)
+        for i, si in enumerate(s):
+            want = mp_magnetic(a, b, c, q, si)
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(grid[i] - want)) <= 1e-14 * scale
+
+    def test_magnetic_point_on_arrays_matches_scalar_calls_exactly(self):
+        a, b, c = 0.48, -0.6, 0.64
+        q = np.array([[-0.64], [1.3], [-2.1]])
+        # both sides of |u| = 0.5 for q + c = 1.94 and for q + c = -1.46
+        s = np.array([0.0, 1e-9, 0.2, 0.2577, 0.2578, 0.3424, 0.3426, 2.0, 90.0])
+        p = magnetic_point(a, b, c, q, s)
+        assert p.x.shape == (3, 9)
+        for i in range(3):
+            for j in range(9):
+                want = magnetic_point(a, b, c, float(q[i, 0]), float(s[j]))
+                assert type(want.x) is float
+                assert (p.x[i, j], p.y[i, j], p.z[i, j]) == (want.x, want.y, want.z)
 
     def test_magnetic_grid_rejects_non_unit(self):
         with pytest.raises(DomainError):
@@ -307,6 +363,10 @@ class TestInitialData:
     def test_rejects_non_unit_velocity(self):
         with pytest.raises(DomainError):
             InitialData(ORIGIN, FrameVector(0.9, 0.0, 0.0))
+
+    def test_rejects_nan_velocity(self):
+        with pytest.raises(DomainError):
+            InitialData(ORIGIN, FrameVector(math.nan, 0.0, 1.0))
 
     def test_sample_derives_speed_and_angle(self):
         sample = TrajectorySample.of(0.5, ORIGIN, FrameVector(0.6, 0.0, 0.8))
