@@ -35,7 +35,13 @@ from .geometry import (
     metric,
     u_tensor,
 )
-from .integrator import StepConfig, batch_initial_state, batch_step, integrate
+from .integrator import (
+    StepConfig,
+    batch_initial_state,
+    batch_step,
+    final_point,
+    integrate,
+)
 from .lie_core import (
     NilPoint,
     OscElement,
@@ -217,7 +223,7 @@ def check_convergence(j_strength: float = 1.0) -> CheckResult:
 
     errs = []
     for h, n in ((4e-3, 2500), (2e-3, 5000), (1e-3, 10000)):
-        last = integrate(init, StepConfig(h, n), j_strength)[-1].point
+        last = final_point(init, StepConfig(h, n), j_strength)
         errs.append(
             math.dist((last.x, last.y, last.z), (target.x, target.y, target.z))
         )

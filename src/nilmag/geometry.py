@@ -15,6 +15,7 @@ criterion deciding whether a one-parameter orbit is a pre-geodesic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,7 +201,14 @@ def go_criterion(w: OscVector, decomposition: str = "nil3") -> CriterionResult:
     residual is below 1e-10 * (1 + |w|^2).  A vanishing projection w_m
     (isotropy directions, constant orbit) is reported as a pre-geodesic
     with k = 0.
+
+    Raises DomainError when a component of w, or its squared norm, is not
+    finite.
     """
+    # products, not **, so that an overflow gives inf instead of raising
+    norm2 = w.e1 * w.e1 + w.e2 * w.e2 + w.e3 * w.e3 + w.e4 * w.e4
+    if not math.isfinite(norm2):
+        raise DomainError("generator components and their squared norm must be finite")
     if decomposition == "nil3":
         basis = [OscVector(1, 0, 0, 0), OscVector(0, 1, 0, 0), OscVector(0, 0, 1, 0)]
     elif decomposition == "m":
@@ -211,8 +219,6 @@ def go_criterion(w: OscVector, decomposition: str = "nil3") -> CriterionResult:
     wm = _coefficients(basis, w)[:-1]
     lhs = np.array([_coefficients(basis, bracket(w, v))[:-1] @ wm for v in basis])
     rhs = wm  # <w_m, V_i> for an orthonormal basis
-
-    norm2 = w.e1 ** 2 + w.e2 ** 2 + w.e3 ** 2 + w.e4 ** 2
     tol = 1e-10 * (1.0 + norm2)
 
     denom = rhs @ rhs

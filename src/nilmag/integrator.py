@@ -98,6 +98,18 @@ def _sample(s, x, y, z, vx, vy, vz) -> TrajectorySample:
     return TrajectorySample.of(s, point, fv)
 
 
+def _states(init: InitialData, cfg: StepConfig, j_strength: float = 1.0):
+    """The RK4 states (x, y, z, vx, vy, vz) at s = 0, h, ..., n*h, as
+    tuples of coordinate floats."""
+    p0 = init.start
+    cv = frame_to_coord(p0, init.velocity)
+    u = (p0.x, p0.y, p0.z, cv.dx, cv.dy, cv.dz)
+    yield u
+    for _ in range(cfg.n):
+        u = _step(u, cfg.h, init.q, j_strength)
+        yield u
+
+
 def integrate(
     init: InitialData, cfg: StepConfig, j_strength: float = 1.0
 ) -> list[TrajectorySample]:
@@ -106,14 +118,20 @@ def integrate(
     Returns cfg.n + 1 samples at s = 0, h, ..., n*h, with velocities
     converted back to frame components at each point.
     """
-    p0 = init.start
-    cv = frame_to_coord(p0, init.velocity)
-    u = (p0.x, p0.y, p0.z, cv.dx, cv.dy, cv.dz)
-    samples = [_sample(0.0, *u)]
-    for k in range(1, cfg.n + 1):
-        u = _step(u, cfg.h, init.q, j_strength)
-        samples.append(_sample(k * cfg.h, *u))
-    return samples
+    return [
+        _sample(k * cfg.h, *u)
+        for k, u in enumerate(_states(init, cfg, j_strength))
+    ]
+
+
+def final_point(
+    init: InitialData, cfg: StepConfig, j_strength: float = 1.0
+) -> NilPoint:
+    """The position after cfg.n steps of integrate, without building the
+    samples along the way."""
+    for u in _states(init, cfg, j_strength):
+        pass
+    return NilPoint(*u[:3])
 
 
 def compare(

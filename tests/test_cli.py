@@ -216,6 +216,12 @@ class TestCriterion:
         assert code == 2
         assert "finite" in err
 
+    def test_rejects_overflowing_squared_norm(self, capsys):
+        # 1e200 passes the finite-flag check, but its square overflows
+        code, _, err = run_cli(capsys, "criterion", *self.w_args("1e200", 0, 1, 3))
+        assert code == 2
+        assert err.startswith("error:") and "finite" in err
+
 
 class TestOrbit:
     def test_header_and_values(self, capsys):
@@ -237,6 +243,20 @@ class TestOrbit:
             assert abs(row[1] - want.x) <= 1e-12
             assert abs(row[2] - want.y) <= 1e-12
             assert abs(row[3] - want.z) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--w1", "1e308", "--w2", "0", "--w3", "1", "--w4", "1", "--steps", "3"),
+            ("--w1", "1", "--w2", "0", "--w3", "1", "--w4", "1",
+             "--s-max", "1e308", "--steps", "1"),
+        ],
+    )
+    def test_rejects_overflowing_generator(self, capsys, flags):
+        # the step generator s_max / steps * W has an infinite entry
+        code, out, err = run_cli(capsys, "orbit", *flags)
+        assert code == 2
+        assert out == "" and err.startswith("error:")
 
     def test_json_output(self, capsys):
         _, out, _ = run_cli(

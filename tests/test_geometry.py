@@ -298,6 +298,20 @@ class TestGoCriterion:
         assert res.is_pregeodesic
         assert res.k == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "w",
+        [
+            OscVector(math.nan, 0.0, 1.0, 1.0),
+            OscVector(0.0, 0.0, math.inf, 1.0),
+            OscVector(1e200, 0.0, 1.0, 3.0),  # finite, but its square is not
+        ],
+        ids=["nan", "inf", "1e200"],
+    )
+    @pytest.mark.parametrize("decomposition", ["nil3", "m"])
+    def test_rejects_non_finite_input(self, w, decomposition):
+        with pytest.raises(DomainError):
+            go_criterion(w, decomposition)
+
     def test_decompositions_agree(self):
         # Both reductive splittings single out the same orbit directions.
         cases = [

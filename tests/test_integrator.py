@@ -21,7 +21,7 @@ from nilmag import (
     magnetic_velocity,
 )
 from nilmag.cli_reporting import check_ode_sweep
-from nilmag.integrator import batch_initial_state, batch_step
+from nilmag.integrator import batch_initial_state, batch_step, final_point
 
 ORIGIN = NilPoint(0.0, 0.0, 0.0)
 
@@ -86,6 +86,12 @@ class TestIntegrate:
         assert only.point == init.start
         assert only.velocity.a == pytest.approx(0.6, abs=1e-15)
         assert only.velocity.c == pytest.approx(0.8, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [0, 1, 2500])
+    def test_final_point_is_last_sample(self, n):
+        init = InitialData(NilPoint(0.3, -0.2, 0.1), FrameVector(0.8, 0.0, 0.6), q=1.9)
+        cfg = StepConfig(h=4e-3, n=n)
+        assert final_point(init, cfg, 1.01) == integrate(init, cfg, 1.01)[-1].point
 
     def test_matches_closed_form_on_circle(self):
         init = InitialData(ORIGIN, FrameVector(1.0, 0.0, 0.0), q=1.0)

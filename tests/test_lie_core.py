@@ -184,11 +184,34 @@ class TestMatrixForms:
         with pytest.raises(ShapeError):
             matrix_to_osc(m)
 
+    def test_rejects_non_finite_entry(self):
+        m = np.eye(4)
+        m[1, 3] = math.nan
+        with pytest.raises(ShapeError):
+            matrix_to_osc(m)
+
+    def test_orbit_of_nan_generator_is_rejected(self):
+        with pytest.raises(ShapeError):
+            exp_osc(OscVector(math.nan, 0.0, 1.0, 1.0))
+
     def test_rejects_reflection(self):
         m = np.eye(4)
         m[1, 1] = -1.0
         with pytest.raises(ShapeError):
             matrix_to_osc(m)
+
+
+def _uniform(seed, scale):
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, size=(4, 4)) * scale
+
+
+def _with_norm1(seed, norm1):
+    m = _uniform(seed, 1.0)
+    return m * (norm1 / np.abs(m).sum(axis=0).max())
+
+
+# the generator of unit velocity (0.48, -0.6, 0.64) with charge 1.9
+ORBIT_W = OscVector(0.48, -0.6, 0.64, 2.54)
 
 
 class TestMatrixExp:
@@ -206,16 +229,62 @@ class TestMatrixExp:
         want = osc_to_matrix(OscElement(0.0, 0.0, 0.0, t))
         assert float(np.max(np.abs(got - want))) <= 1e-14
 
-    @pytest.mark.parametrize("seed,scale,tol", [(0, 0.5, 1e-14), (1, 4.0, 1e-13), (2, 10.0, 1e-12)])
-    def test_against_high_precision_oracle(self, seed, scale, tol):
-        rng = np.random.default_rng(seed)
-        m = rng.uniform(-1.0, 1.0, size=(4, 4)) * scale
+    @pytest.mark.parametrize(
+        "m,tol",
+        [
+            pytest.param(_uniform(0, 0.5), 1e-14, id="0-0.5-1e-14"),
+            pytest.param(_uniform(1, 4.0), 1e-13, id="1-4.0-1e-13"),
+            pytest.param(_uniform(2, 10.0), 1e-12, id="2-10.0-1e-12"),
+            pytest.param(_uniform(3, 0.01), 1e-15, id="tiny-0.01"),
+            # 1-norm just below and just above the scaling threshold 0.5
+            pytest.param(_with_norm1(4, 0.5 * (1.0 - 1e-9)), 1e-14, id="norm1-below-0.5"),
+            pytest.param(_with_norm1(5, 0.5 * (1.0 + 1e-9)), 1e-14, id="norm1-above-0.5"),
+            pytest.param(_uniform(6, 30.0), 1e-12, id="30-many-squarings"),
+            # step generators of the orbit grids: verify uses ds = 0.1, the
+            # benchmark's sweep spans 0.5 .. 60 over 100 steps
+            *(
+                pytest.param(algebra_matrix(OscVector(*(ds * vec(ORBIT_W)))), 1e-14, id=f"ds-{ds}")
+                for ds in (0.005, 0.05, 0.1, 0.2, 0.6)
+            ),
+        ],
+    )
+    def test_against_high_precision_oracle(self, m, tol):
         got = matrix_exp(m)
         with mpmath.workdps(50):
             ref = mpmath.expm(mpmath.matrix(m.tolist()))
             ref = np.array(ref.tolist(), dtype=float)
         denom = max(1.0, float(np.max(np.abs(ref))))
         assert float(np.max(np.abs(got - ref))) / denom <= tol
+
+    def test_taylor_core_reaches_double_precision(self):
+        # a rotation by 0.5 has 1-norm 0.5, so no squaring hides the
+        # Taylor tail: degree 11 leaves 0.5^12/12! ~ 5e-13
+        got = matrix_exp(algebra_matrix(OscVector(0.0, 0.0, 0.0, 0.5)))
+        want = osc_to_matrix(OscElement(0.0, 0.0, 0.0, 0.5))
+        assert float(np.max(np.abs(got - want))) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+    )
+    def test_non_finite_entry_gives_nan(self, value):
+        m = algebra_matrix(OscVector(1.0, 0.0, 1.0, 1.0))
+        m[0, 3] = value
+        got = matrix_exp(m)
+        assert got.shape == (4, 4) and np.all(np.isnan(got))
+
+    def test_overflowing_norm_gives_nan(self):
+        # finite entries 1.6e308 and 1e308 in the last column sum to inf
+        m = algebra_matrix(OscVector(1e308, 0.0, 8e307, 0.0))
+        assert np.all(np.isfinite(m))
+        with np.errstate(over="ignore"):
+            got = matrix_exp(m)
+        assert np.all(np.isnan(got))
+
+    def test_huge_finite_norm_does_not_raise(self):
+        # 1-norm 1e308 needs s = 1025 halvings; norm / 0.5 and the float
+        # 2.0 ** s both overflow
+        got = matrix_exp(algebra_matrix(OscVector(0.0, 0.0, 0.0, 1e308)))
+        assert got.shape == (4, 4)
 
 
 class TestExponentials:
