@@ -20,11 +20,13 @@ import json
 import math
 import sys
 from dataclasses import astuple, dataclass
+from itertools import islice
 
 import numpy as np
 
 from .errors import DomainError
 from .geometry import (
+    CoordVector,
     FrameVector,
     coord_to_frame,
     contact_form,
@@ -35,13 +37,7 @@ from .geometry import (
     metric,
     u_tensor,
 )
-from .integrator import (
-    StepConfig,
-    batch_initial_state,
-    batch_step,
-    final_point,
-    integrate,
-)
+from .integrator import StepConfig, batch_initial_state, batch_step, rk4_states
 from .lie_core import (
     NilPoint,
     OscElement,
@@ -223,10 +219,9 @@ def check_convergence(j_strength: float = 1.0) -> CheckResult:
 
     errs = []
     for h, n in ((4e-3, 2500), (2e-3, 5000), (1e-3, 10000)):
-        last = final_point(init, StepConfig(h, n), j_strength)
-        errs.append(
-            math.dist((last.x, last.y, last.z), (target.x, target.y, target.z))
-        )
+        for u in rk4_states(init, StepConfig(h, n), j_strength):
+            pass
+        errs.append(math.dist(u[:3], (target.x, target.y, target.z)))
     ratios = [
         errs[i] / errs[i + 1] if errs[i + 1] > 0.0 else math.inf
         for i in range(len(errs) - 1)
@@ -404,27 +399,29 @@ _ORBIT_FIELDS = ("s", "x", "y", "z")
 
 
 def _emit_rows(args: argparse.Namespace) -> np.ndarray:
+    """The emit table: closed forms or every per-th RK4 state, then one
+    row builder for both sources."""
     p0 = NilPoint(args.x0, args.y0, args.z0)
     if args.source == "closed":
         s = np.arange(args.steps + 1) * args.s_max / args.steps
         point = magnetic_point_from(p0, args.a, args.b, args.c, args.q, s)
         fv = magnetic_velocity(args.a, args.b, args.c, args.q, s)
         cv = frame_to_coord(point, fv)
-        speed = np.sqrt(fv.a ** 2 + fv.b ** 2 + fv.c ** 2)
-        cols = (s, point.x, point.y, point.z, cv.dx, cv.dy, cv.dz, fv.c, speed)
-        return np.column_stack(np.broadcast_arrays(*cols))
-    # land the RK4 steps exactly on the requested grid
-    per = max(1, round((args.s_max / args.steps) / args.h))
-    h_eff = args.s_max / (args.steps * per)
-    init = InitialData(p0, FrameVector(args.a, args.b, args.c), args.q)
-    rows = []
-    for sample in integrate(init, StepConfig(h_eff, args.steps * per))[::per]:
-        p = sample.point
-        cv = frame_to_coord(p, sample.velocity)
-        rows.append(
-            (sample.s, p.x, p.y, p.z, cv.dx, cv.dy, cv.dz, sample.cos_theta, sample.speed)
-        )
-    return np.array(rows)
+    else:
+        # land the RK4 steps exactly on the requested grid
+        per = max(1, round((args.s_max / args.steps) / args.h))
+        n = args.steps * per
+        h_eff = args.s_max / n
+        init = InitialData(p0, FrameVector(args.a, args.b, args.c), args.q)
+        kept = islice(rk4_states(init, StepConfig(h_eff, n)), 0, None, per)
+        states = np.array(list(kept))
+        s = np.arange(0, n + 1, per) * h_eff
+        point = NilPoint(*states[:, :3].T)
+        cv = CoordVector(*states[:, 3:].T)
+        fv = coord_to_frame(point, cv)
+    speed = np.sqrt(fv.a ** 2 + fv.b ** 2 + fv.c ** 2)
+    cols = (s, point.x, point.y, point.z, cv.dx, cv.dy, cv.dz, fv.c, speed)
+    return np.column_stack(np.broadcast_arrays(*cols))
 
 
 def _serialise(fields: tuple[str, ...], rows: np.ndarray, fmt: str) -> str:
@@ -454,32 +451,19 @@ def run_orbit(args: argparse.Namespace) -> str:
     return _serialise(_ORBIT_FIELDS, np.column_stack((s, coords)), args.format)
 
 
-def _family_label(w: OscVector) -> str | None:
-    eps = 1e-12
-    if abs(w.e1) <= eps and abs(w.e2) <= eps and abs(w.e3) <= eps:
-        return "W4*E4"
-    if abs(w.e1) <= eps and abs(w.e2) <= eps:
-        return "W3*E3+W4*E4"
-    if abs(w.e4 - w.e3) <= eps:
-        return "W1*E1+W2*E2+W3*(E3+E4)"
-    return None
-
-
 def run_criterion(args: argparse.Namespace) -> str:
-    w = _generator(args)
-    res = go_criterion(w, args.decomposition)
-    family = _family_label(w) if res.is_pregeodesic else None
+    res = go_criterion(_generator(args), args.decomposition)
     if args.format == "json":
         obj = {
             "is_pregeodesic": res.is_pregeodesic,
             "k": res.k,
-            "family": family,
+            "family": res.family,
         }
         return json.dumps(obj, indent=2) + "\n"
     lines = [
         f"is_pregeodesic: {'true' if res.is_pregeodesic else 'false'}",
         f"k: {float(res.k)!r}" if res.k is not None else "k: none",
-        f"family: {family if family is not None else 'none'}",
+        f"family: {res.family if res.family is not None else 'none'}",
     ]
     return "\n".join(lines) + "\n"
 

@@ -47,11 +47,15 @@ class CriterionResult:
     """Outcome of the pre-geodesic orbit criterion.
 
     k is the proportionality constant of the defining equation and is
-    None when the orbit is not a pre-geodesic.
+    None when the orbit is not a pre-geodesic.  family names the family
+    of generators a pre-geodesic w belongs to ("W4*E4", "W3*E3+W4*E4" or
+    "W1*E1+W2*E2+W3*(E3+E4)", components equal within 1e-12), and is
+    None otherwise.
     """
 
     is_pregeodesic: bool
     k: float | None = None
+    family: str | None = None
 
 
 def frame_to_coord(p: NilPoint, v: FrameVector) -> CoordVector:
@@ -147,16 +151,15 @@ def _coefficients(basis: list[OscVector], v: OscVector) -> np.ndarray:
     """Coordinates of v on basis + [E4], the rotation axis completing it.
 
     The last entry is the component along E4; dropping it projects onto
-    the span of the basis along the reductive complement.
+    the span of the basis along the reductive complement.  Raises
+    DomainError unless basis + [E4] is a basis of the algebra.
     """
     cols = [[b.e1, b.e2, b.e3, b.e4] for b in basis]
     cols.append([0.0, 0.0, 0.0, 1.0])
-    a = np.array(cols).T
-    rhs = np.array([v.e1, v.e2, v.e3, v.e4])
-    coef, residual, rank, _ = np.linalg.lstsq(a, rhs)
-    if rank < a.shape[1] or np.max(np.abs(a @ coef - rhs)) > 1e-12:
-        raise DomainError("vector is not in the span of basis + complement")
-    return coef
+    try:
+        return np.linalg.solve(np.array(cols).T, np.array([v.e1, v.e2, v.e3, v.e4]))
+    except np.linalg.LinAlgError:
+        raise DomainError("basis + complement is not a basis of the algebra") from None
 
 
 def u_tensor(basis: list[OscVector], x: OscVector, y: OscVector) -> OscVector:
@@ -226,6 +229,12 @@ def go_criterion(w: OscVector, decomposition: str = "nil3") -> CriterionResult:
         k = 0.0
     else:
         k = (lhs @ rhs) / denom
-    if np.max(np.abs(lhs - k * rhs)) <= tol:
-        return CriterionResult(True, float(k))
-    return CriterionResult(False, None)
+    if not (np.max(np.abs(lhs - k * rhs)) <= tol):  # a NaN residual rejects
+        return CriterionResult(False, None)
+    eps = 1e-12
+    family = None
+    if abs(w.e1) <= eps and abs(w.e2) <= eps:
+        family = "W4*E4" if abs(w.e3) <= eps else "W3*E3+W4*E4"
+    elif abs(w.e4 - w.e3) <= eps:
+        family = "W1*E1+W2*E2+W3*(E3+E4)"
+    return CriterionResult(True, float(k), family)

@@ -260,16 +260,11 @@ def osc_action(g: OscElement, p: NilPoint) -> NilPoint:
     """Isometric action of the oscillator group on the Heisenberg group.
 
     g = (a, b, c, t) rotates p in the (x, y) plane by t and then
-    left-translates by (a, b, c).
+    left-translates by (a, b, c): the (x, y, z) of g * (p, 0) in the
+    group law.
     """
-    ct = math.cos(g.t)
-    st = math.sin(g.t)
-    return NilPoint(
-        g.x + p.x * ct - p.y * st,
-        g.y + p.x * st + p.y * ct,
-        g.z + p.z
-        + 0.5 * (ct * (g.x * p.y - p.x * g.y) + st * (g.x * p.x + g.y * p.y)),
-    )
+    h = osc_multiply(g, OscElement(p.x, p.y, p.z, 0.0))
+    return NilPoint(h.x, h.y, h.z)
 
 
 def split(w: OscVector, decomposition: str) -> tuple[OscVector, OscVector]:

@@ -8,9 +8,10 @@ import sys
 
 import pytest
 
-from nilmag import OscVector, orbit_point
+from nilmag import FrameVector, InitialData, NilPoint, OscVector, StepConfig, orbit_point
 from nilmag.cli_reporting import (
     _build_parser,
+    _emit_rows,
     _result,
     _validate,
     build_report,
@@ -18,6 +19,7 @@ from nilmag.cli_reporting import (
     report_json,
     run_checks,
 )
+from nilmag.integrator import rk4_states
 
 CHECK_NAMES = [
     "bch_nil",
@@ -124,6 +126,25 @@ class TestEmit:
             for j in range(1, 9):
                 assert abs(cr[j] - nr[j]) <= 1e-6
 
+    @pytest.mark.parametrize("h, per", [(0.05, 1), (0.01, 5), (0.003, 17)])
+    def test_rk4_rows_are_the_generator_states(self, h, per):
+        args = _build_parser().parse_args(
+            ["emit", "--a", "0.8", "--c", "0.6", "--q", "1.9", "--x0", "0.3",
+             "--y0", "-1.1", "--z0", "2", "--s-max", "2", "--steps", "40",
+             "--h", repr(h), "--source", "rk4"]
+        )
+        _validate(args)
+        rows = _emit_rows(args)
+        h_eff = 2.0 / (40 * per)
+        init = InitialData(
+            NilPoint(0.3, -1.1, 2.0), FrameVector(args.a, args.b, args.c), 1.9
+        )
+        states = list(rk4_states(init, StepConfig(h_eff, 40 * per)))
+        assert rows.shape == (41, 9)
+        for k, row in enumerate(rows):
+            assert row[0] == k * per * h_eff
+            assert tuple(row[1:7]) == states[k * per]
+
     def test_out_writes_file(self, tmp_path, capsys):
         target = tmp_path / "line.csv"
         code, out, _ = run_cli(capsys, "emit", "--steps", "2", "--out", str(target))
@@ -205,6 +226,14 @@ class TestCriterion:
             capsys, "criterion", *self.w_args(1, 0, 1, 1), "--decomposition", "m"
         )
         assert "is_pregeodesic: true" in out
+
+    @pytest.mark.parametrize("w1", [1959, 1e5])
+    def test_m_decomposition_large_component(self, capsys, w1):
+        code, out, _ = run_cli(
+            capsys, "criterion", *self.w_args(w1, 0, 1, 1), "--decomposition", "m"
+        )
+        assert code == 0
+        assert out == "is_pregeodesic: true\nk: 0.0\nfamily: W1*E1+W2*E2+W3*(E3+E4)\n"
 
     def test_missing_component_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -263,6 +263,11 @@ class TestUTensor:
         with pytest.raises(DomainError):
             u_tensor(NIL_BASIS, OSC_E4, OSC_E1)
 
+    def test_rejects_singular_basis(self):
+        # E4 is the complement, so it cannot also be a basis vector
+        with pytest.raises(DomainError):
+            u_tensor((OSC_E1, OSC_E2, OSC_E4), OSC_E1, OSC_E2)
+
     def test_matches_connection_symmetrization(self):
         for x in NIL_BASIS:
             for y in NIL_BASIS:
@@ -311,6 +316,32 @@ class TestGoCriterion:
     def test_rejects_non_finite_input(self, w, decomposition):
         with pytest.raises(DomainError):
             go_criterion(w, decomposition)
+
+    @pytest.mark.parametrize(
+        "w, family",
+        [
+            (OscVector(0.0, 0.0, 0.0, 1.5), "W4*E4"),
+            (OscVector(0.0, 0.0, 1.0, -2.0), "W3*E3+W4*E4"),
+            (OscVector(0.6, -0.8, 0.3, 0.3), "W1*E1+W2*E2+W3*(E3+E4)"),
+            (OscVector(0.6, 0.8, 0.0, 0.0), "W1*E1+W2*E2+W3*(E3+E4)"),
+            (OscVector(1.0, 0.0, 1.0, 0.0), None),
+        ],
+    )
+    @pytest.mark.parametrize("decomposition", ["nil3", "m"])
+    def test_names_the_family(self, w, family, decomposition):
+        res = go_criterion(w, decomposition)
+        assert res.is_pregeodesic == (family is not None)
+        assert res.family == family
+
+    @pytest.mark.parametrize("scale", [1e3, 1e4, 1e5])
+    def test_m_decomposition_accepts_large_generators(self, scale):
+        # the reductive coefficients come from a square solve, so no
+        # absolute residual test can reject a large but valid generator
+        rng = np.random.default_rng(int(scale))
+        for w in rng.uniform(-scale, scale, (200, 4)):
+            go_criterion(OscVector(*w), "m")
+        res = go_criterion(OscVector(scale, 0.0, 1.0, 1.0), "m")
+        assert res.is_pregeodesic
 
     def test_decompositions_agree(self):
         # Both reductive splittings single out the same orbit directions.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nilmag import (
+    CoordVector,
     DomainError,
     FrameVector,
     GridMismatch,
@@ -13,6 +14,7 @@ from nilmag import (
     StepConfig,
     TrajectorySample,
     compare,
+    coord_to_frame,
     frame_to_coord,
     integrate,
     lorentz_rhs,
@@ -21,7 +23,7 @@ from nilmag import (
     magnetic_velocity,
 )
 from nilmag.cli_reporting import check_ode_sweep
-from nilmag.integrator import batch_initial_state, batch_step, final_point
+from nilmag.integrator import batch_initial_state, batch_step, rk4_states
 
 ORIGIN = NilPoint(0.0, 0.0, 0.0)
 
@@ -88,10 +90,15 @@ class TestIntegrate:
         assert only.velocity.c == pytest.approx(0.8, abs=1e-15)
 
     @pytest.mark.parametrize("n", [0, 1, 2500])
-    def test_final_point_is_last_sample(self, n):
+    def test_last_state_is_last_sample(self, n):
         init = InitialData(NilPoint(0.3, -0.2, 0.1), FrameVector(0.8, 0.0, 0.6), q=1.9)
         cfg = StepConfig(h=4e-3, n=n)
-        assert final_point(init, cfg, 1.01) == integrate(init, cfg, 1.01)[-1].point
+        for count, u in enumerate(rk4_states(init, cfg, 1.01), start=1):
+            pass
+        last = integrate(init, cfg, 1.01)[-1]
+        assert count == n + 1
+        assert NilPoint(*u[:3]) == last.point
+        assert coord_to_frame(last.point, CoordVector(*u[3:])) == last.velocity
 
     def test_matches_closed_form_on_circle(self):
         init = InitialData(ORIGIN, FrameVector(1.0, 0.0, 0.0), q=1.0)
@@ -134,6 +141,19 @@ class TestCompare:
         init = InitialData(ORIGIN, FrameVector(1.0, 0.0, 0.0), q=1.0)
         with pytest.raises(GridMismatch):
             compare(closed_form_samples(init, 0.1, 10), closed_form_samples(init, 0.1001, 10))
+
+    def test_keeps_nan(self):
+        init = InitialData(ORIGIN, FrameVector(1.0, 0.0, 0.0), q=1.0)
+        closed = closed_form_samples(init, 0.1, 100)
+        numeric = list(closed)
+        nan = math.nan
+        numeric[50] = TrajectorySample.of(
+            closed[50].s, NilPoint(nan, nan, nan), FrameVector(nan, nan, nan)
+        )
+        report = compare(closed, numeric)
+        assert math.isnan(report.max_position_error)
+        assert math.isnan(report.max_speed_drift)
+        assert math.isnan(report.max_angle_drift)
 
 
 class TestStepConfig:
