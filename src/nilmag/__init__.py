@@ -1,7 +1,7 @@
 """Magnetic geodesics on the Heisenberg group and their realization as
 one-parameter orbits of the isometry group."""
 
-from .errors import DomainError, GridMismatch, ShapeError
+from .errors import DomainError, ShapeError
 from .geometry import (
     CoordVector,
     CriterionResult,
@@ -17,7 +17,7 @@ from .geometry import (
     metric,
     u_tensor,
 )
-from .integrator import ErrorReport, State, StepConfig, compare, integrate, lorentz_rhs
+from .integrator import StepConfig, integrate
 from .lie_core import (
     Matrix4,
     NilPoint,
@@ -33,13 +33,9 @@ from .lie_core import (
     osc_action,
     osc_multiply,
     osc_to_matrix,
-    split,
 )
 from .trajectories import (
     InitialData,
-    TrajectorySample,
-    classify,
-    geodesic_point,
     homogeneous_generator,
     magnetic_grid,
     magnetic_point,

@@ -52,7 +52,6 @@ from .lie_core import (
 )
 from .trajectories import (
     InitialData,
-    homogeneous_generator,
     magnetic_grid,
     magnetic_point,
     magnetic_point_from,

@@ -7,7 +7,3 @@ class DomainError(ValueError):
 
 class ShapeError(ValueError):
     """A matrix does not have the structure the conversion expects."""
-
-
-class GridMismatch(ValueError):
-    """Two sample sequences do not share the same parameter grid."""

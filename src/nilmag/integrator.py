@@ -15,26 +15,15 @@ of stored quantities.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridMismatch
-from .geometry import CoordVector, FrameVector, coord_to_frame, frame_to_coord
+from .errors import DomainError
+from .geometry import FrameVector, frame_to_coord
 from .lie_core import NilPoint
-from .trajectories import InitialData, TrajectorySample
-
-
-@dataclass(frozen=True)
-class State:
-    """Position and coordinate velocity of the second-order system."""
-
-    x: float
-    y: float
-    z: float
-    vx: float
-    vy: float
-    vz: float
+from .trajectories import InitialData
 
 
 @dataclass(frozen=True)
@@ -45,19 +34,13 @@ class StepConfig:
     n: int
 
     def __post_init__(self):
-        if not (self.h > 0.0):
-            raise DomainError("step size must be positive")
+        # written so that a NaN step fails the test
+        if not 0.0 < self.h < math.inf:
+            raise DomainError("step size must be positive and finite")
+        if not isinstance(self.n, numbers.Integral):
+            raise DomainError("step count must be an integer")
         if self.n < 0:
             raise DomainError("step count must be nonnegative")
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    """Comparison of two sample sequences on a common grid."""
-
-    max_position_error: float
-    max_speed_drift: float
-    max_angle_drift: float
 
 
 def _rhs(x, y, z, vx, vy, vz, q, j_strength):
@@ -67,17 +50,6 @@ def _rhs(x, y, z, vx, vy, vz, q, j_strength):
     ay = w * vx
     az = -0.5 * (ax * y - x * ay)
     return vx, vy, vz, ax, ay, az
-
-
-def lorentz_rhs(state: State, q: float, j_strength: float = 1.0) -> State:
-    """Time derivative of the state under charge q.
-
-    The returned State holds (x', y', z') in the position slots and the
-    accelerations in the velocity slots.  j_strength rescales the
-    magnetic coupling for the suite's fault-injection self-test.
-    """
-    d = _rhs(state.x, state.y, state.z, state.vx, state.vy, state.vz, q, j_strength)
-    return State(*d)
 
 
 def _step(u, h, q, j):
@@ -92,15 +64,12 @@ def _step(u, h, q, j):
     )
 
 
-def _sample(s, x, y, z, vx, vy, vz) -> TrajectorySample:
-    point = NilPoint(x, y, z)
-    fv = coord_to_frame(point, CoordVector(vx, vy, vz))
-    return TrajectorySample.of(s, point, fv)
-
-
 def rk4_states(init: InitialData, cfg: StepConfig, j_strength: float = 1.0):
     """The RK4 states (x, y, z, vx, vy, vz) at s = 0, h, ..., n*h, as
     tuples of coordinate floats: the one loop stepping a single trajectory.
+
+    j_strength rescales the magnetic coupling for the suite's
+    fault-injection self-test; leave it at 1.
     """
     p0 = init.start
     cv = frame_to_coord(p0, init.velocity)
@@ -113,50 +82,10 @@ def rk4_states(init: InitialData, cfg: StepConfig, j_strength: float = 1.0):
 
 def integrate(
     init: InitialData, cfg: StepConfig, j_strength: float = 1.0
-) -> list[TrajectorySample]:
-    """Integrate the Lorentz equation, one sample per step.
-
-    Returns cfg.n + 1 samples at s = 0, h, ..., n*h, with velocities
-    converted back to frame components at each point.
-    """
-    return [
-        _sample(k * cfg.h, *u)
-        for k, u in enumerate(rk4_states(init, cfg, j_strength))
-    ]
-
-
-def compare(
-    closed: list[TrajectorySample], numeric: list[TrajectorySample]
-) -> ErrorReport:
-    """Error report between a closed-form and a numeric sample list.
-
-    Position error is the coordinate Euclidean distance, taken pointwise
-    and maximized; the speed and contact-angle drifts are measured on the
-    numeric list (drift of cos_theta is relative to its first value).
-    Raises GridMismatch unless both lists sample the same s values
-    (within 1e-12).
-    """
-    if len(closed) != len(numeric):
-        raise GridMismatch(
-            f"sample counts differ: {len(closed)} vs {len(numeric)}"
-        )
-    dists = []
-    for sc, sn in zip(closed, numeric):
-        if abs(sc.s - sn.s) > 1e-12:
-            raise GridMismatch(f"grids differ at s={sc.s!r} vs s={sn.s!r}")
-        dists.append(
-            math.dist(
-                (sc.point.x, sc.point.y, sc.point.z),
-                (sn.point.x, sn.point.y, sn.point.z),
-            )
-        )
-    ct0 = numeric[0].cos_theta
-    # np.max keeps a NaN that Python's max would drop
-    return ErrorReport(
-        float(np.max(dists)),
-        float(np.max([abs(sn.speed - 1.0) for sn in numeric])),
-        float(np.max([abs(sn.cos_theta - ct0) for sn in numeric])),
-    )
+) -> np.ndarray:
+    """The states of rk4_states as one (n + 1, 6) array whose row k holds
+    the coordinates (x, y, z, vx, vy, vz) at s = k*h."""
+    return np.array(list(rk4_states(init, cfg, j_strength)))
 
 
 # ---------------------------------------------------------------------------

@@ -266,22 +266,3 @@ def osc_action(g: OscElement, p: NilPoint) -> NilPoint:
     h = osc_multiply(g, OscElement(p.x, p.y, p.z, 0.0))
     return NilPoint(h.x, h.y, h.z)
 
-
-def split(w: OscVector, decomposition: str) -> tuple[OscVector, OscVector]:
-    """Split w = h_part + m_part along a reductive decomposition.
-
-    decomposition "nil3": complement is the rotation axis, m is the
-    Heisenberg subalgebra.  decomposition "m": m = span{E1, E2, E3+E4},
-    so m_part = w1 E1 + w2 E2 + w3 (E3+E4) and h_part = (w4-w3) E4.
-    """
-    if decomposition == "nil3":
-        return (
-            OscVector(0.0, 0.0, 0.0, w.e4),
-            OscVector(w.e1, w.e2, w.e3, 0.0),
-        )
-    if decomposition == "m":
-        return (
-            OscVector(0.0, 0.0, 0.0, w.e4 - w.e3),
-            OscVector(w.e1, w.e2, w.e3, w.e3),
-        )
-    raise DomainError(f"unknown decomposition {decomposition!r}")

@@ -57,26 +57,6 @@ class InitialData:
             raise DomainError("initial velocity must have unit length")
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
-    """One record of a sampled trajectory.
-
-    velocity holds frame components; speed is its norm and cos_theta its
-    third component (both stored so emitted files are self-contained).
-    """
-
-    s: float
-    point: NilPoint
-    velocity: FrameVector
-    speed: float
-    cos_theta: float
-
-    @classmethod
-    def of(cls, s: float, point: NilPoint, velocity: FrameVector) -> "TrajectorySample":
-        speed = math.sqrt(velocity.a ** 2 + velocity.b ** 2 + velocity.c ** 2)
-        return cls(s, point, velocity, speed, velocity.c)
-
-
 def magnetic_point(a, b, c, q, s) -> NilPoint:
     """Charged trajectory from the origin with initial frame velocity
     (a, b, c), evaluated at arc length s.
@@ -86,11 +66,6 @@ def magnetic_point(a, b, c, q, s) -> NilPoint:
     arrays give arrays of the broadcast shape.
     """
     return NilPoint(*_magnetic_xyz(a, b, c, q, s))
-
-
-def geodesic_point(a: float, b: float, c: float, s: float) -> NilPoint:
-    """Unit-speed geodesic from the origin, at arc length s."""
-    return magnetic_point(a, b, c, 0.0, s)
 
 
 def magnetic_point_from(
@@ -136,19 +111,6 @@ def orbit_point(v: OscVector, s: float) -> NilPoint:
     """Evaluate the one-parameter orbit exp(s v).o at the origin o."""
     g = exp_osc(OscVector(s * v.e1, s * v.e2, s * v.e3, s * v.e4))
     return osc_action(g, NilPoint(0.0, 0.0, 0.0))
-
-
-def classify(a: float, b: float, c: float) -> str:
-    """Name the contact type of a unit velocity.
-
-    "reeb" for |c| = 1, "legendre" for c = 0 (both within 1e-12),
-    "slant" otherwise.
-    """
-    if abs(abs(c) - 1.0) <= 1e-12:
-        return "reeb"
-    if abs(c) <= 1e-12:
-        return "legendre"
-    return "slant"
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +179,10 @@ def orbit_grid(w, s_max: float, steps: int) -> np.ndarray:
     """Orbit coordinates on the uniform grid s = 0, ds, ..., s_max.
 
     w is one generator (OscVector or length-4 array) or a stack of shape
-    (n, 4).  Returns (steps+1, 3) or (n, steps+1, 3) accordingly.  One
-    matrix exponential per generator plus a product recurrence along the
-    grid, so large sweeps stay cheap.
+    (n, 4).  Returns (steps+1, 3) or (n, steps+1, 3) accordingly, and
+    raises DomainError when steps < 1.  One matrix exponential per
+    generator plus a product recurrence along the grid, so large sweeps
+    stay cheap.
     """
     if isinstance(w, OscVector):
         rows = np.array([[w.e1, w.e2, w.e3, w.e4]])
@@ -227,6 +190,8 @@ def orbit_grid(w, s_max: float, steps: int) -> np.ndarray:
     else:
         rows = np.atleast_2d(np.asarray(w, dtype=float))
         single = np.asarray(w).ndim == 1
+    if steps < 1:
+        raise DomainError("steps must be at least 1")
     n = rows.shape[0]
     ds = s_max / steps
 

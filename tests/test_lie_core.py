@@ -20,7 +20,6 @@ from nilmag import (
     osc_action,
     osc_multiply,
     osc_to_matrix,
-    split,
 )
 from nilmag.errors import DomainError
 
@@ -379,25 +378,3 @@ class TestOscAction:
         assert joined.x == pytest.approx(stepped.x, abs=1e-12)
         assert joined.y == pytest.approx(stepped.y, abs=1e-12)
         assert joined.z == pytest.approx(stepped.z, abs=1e-12)
-
-
-class TestSplit:
-    def test_nil3_decomposition(self):
-        h, m = split(OscVector(1.0, 2.0, 3.0, 4.0), "nil3")
-        assert h == OscVector(0.0, 0.0, 0.0, 4.0)
-        assert m == OscVector(1.0, 2.0, 3.0, 0.0)
-
-    def test_m_decomposition(self):
-        h, m = split(OscVector(1.0, 2.0, 3.0, 4.0), "m")
-        assert h == OscVector(0.0, 0.0, 0.0, 1.0)
-        assert m == OscVector(1.0, 2.0, 3.0, 3.0)
-
-    @pytest.mark.parametrize("decomposition", ["nil3", "m"])
-    def test_parts_sum_back(self, decomposition):
-        w = OscVector(-0.7, 0.25, 1.9, -2.4)
-        h, m = split(w, decomposition)
-        assert vec(h) + vec(m) == pytest.approx(vec(w), abs=0.0)
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            split(E1, "cartan")

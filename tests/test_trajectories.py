@@ -10,11 +10,8 @@ from nilmag import (
     InitialData,
     NilPoint,
     OscVector,
-    TrajectorySample,
-    classify,
     curve_acceleration,
     frame_to_coord,
-    geodesic_point,
     homogeneous_generator,
     lorentz,
     magnetic_grid,
@@ -23,7 +20,6 @@ from nilmag import (
     magnetic_velocity,
     orbit_grid,
     orbit_point,
-    split,
 )
 
 ORIGIN = NilPoint(0.0, 0.0, 0.0)
@@ -60,35 +56,39 @@ def random_unit(rng):
 
 
 class TestGeodesicPoint:
+    """Geodesics are the charge-free trajectories, magnetic_point at q = 0."""
+
     def test_vertical_axis(self):
         for s in (0.0, 0.5, -3.0, 12.0):
-            assert geodesic_point(0.0, 0.0, 1.0, s) == NilPoint(0.0, 0.0, s)
+            assert magnetic_point(0.0, 0.0, 1.0, 0.0, s) == NilPoint(0.0, 0.0, s)
 
     def test_horizontal_line(self):
         for s in (0.25, 1.0, 4.0):
-            assert geodesic_point(0.6, 0.8, 0.0, s) == NilPoint(0.6 * s, 0.8 * s, 0.0)
+            assert magnetic_point(0.6, 0.8, 0.0, 0.0, s) == NilPoint(0.6 * s, 0.8 * s, 0.0)
 
     def test_slant_half_period(self):
         # With vertical component 0.6 the planar projection is a circle
         # traversed with angular rate 0.6; at s = pi/0.6 it has made half
         # a turn, landing on the y axis at the circle diameter 8/3.
         s = math.pi / 0.6
-        p = geodesic_point(0.8, 0.0, 0.6, s)
+        p = magnetic_point(0.8, 0.0, 0.6, 0.0, s)
         assert p.x == pytest.approx(0.0, abs=1e-12)
         assert p.y == pytest.approx(8.0 / 3.0, rel=1e-12)
         assert p.z == pytest.approx(17.0 * math.pi / 9.0, rel=1e-12)
 
     def test_rejects_non_unit_velocity(self):
         with pytest.raises(DomainError):
-            geodesic_point(1.0, 1.0, 0.0, 1.0)
+            magnetic_point(1.0, 1.0, 0.0, 0.0, 1.0)
         with pytest.raises(DomainError):
             magnetic_point(0.5, 0.0, 0.0, 1.0, 1.0)
 
 
 class TestMagneticPoint:
     def test_zero_charge_is_geodesic(self):
+        # the geodesic's planar part turns at the contact rate c alone
         for s in (0.3, 1.7, 6.0):
-            assert magnetic_point(0.8, 0.0, 0.6, 0.0, s) == geodesic_point(0.8, 0.0, 0.6, s)
+            p = magnetic_point(0.8, 0.0, 0.6, 0.0, s)
+            assert pvec(p) == pytest.approx(mp_magnetic(0.8, 0.0, 0.6, 0.0, s), abs=1e-13)
 
     @pytest.mark.parametrize("s", [0.25, 0.5, 2.0, 7.3])
     def test_unit_charge_circle(self, s):
@@ -221,9 +221,10 @@ class TestHomogeneousGenerator:
 
     def test_charge_sits_in_isotropy_part(self):
         w = homogeneous_generator(0.8, 0.0, 0.6, 1.9)
-        h, m = split(w, "m")
-        assert h == OscVector(0.0, 0.0, 0.0, 1.9)
-        assert m == OscVector(0.8, 0.0, 0.6, 0.6)
+        # on m = span{E1, E2, E3 + E4} the isotropy part is (e4 - e3) E4
+        # and the m part e1 E1 + e2 E2 + e3 (E3 + E4)
+        assert w.e4 - w.e3 == 1.9
+        assert (w.e1, w.e2, w.e3) == (0.8, 0.0, 0.6)
 
     def test_strength_scales_coupling(self):
         w = homogeneous_generator(0.0, 1.0, 0.0, 2.0, j_strength=0.5)
@@ -326,6 +327,11 @@ class TestGrids:
             s = 5.0 * i / 50
             assert grid[i] == pytest.approx(pvec(orbit_point(w, s)), abs=1e-12)
 
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_orbit_grid_rejects_fewer_than_one_step(self, steps):
+        with pytest.raises(DomainError):
+            orbit_grid(OscVector(1.0, 0.0, 1.0, 1.0), 2.0, steps)
+
     def test_orbit_grid_batch(self):
         w1 = homogeneous_generator(1.0, 0.0, 0.0, 1.0)
         w2 = homogeneous_generator(0.0, 0.0, 1.0, 0.0)
@@ -336,22 +342,6 @@ class TestGrids:
         assert grid.shape == (2, 21, 3)
         assert grid[0] == pytest.approx(orbit_grid(w1, 2.0, 20), abs=1e-14)
         assert grid[1] == pytest.approx(orbit_grid(w2, 2.0, 20), abs=1e-14)
-
-
-class TestClassify:
-    @pytest.mark.parametrize(
-        "a,b,c,label",
-        [
-            (0.0, 0.0, 1.0, "reeb"),
-            (0.0, 0.0, -1.0, "reeb"),
-            (0.0, 0.0, 1.0 - 5e-13, "reeb"),
-            (1.0, 0.0, 0.0, "legendre"),
-            (0.6, 0.8, 5e-13, "legendre"),
-            (0.8, 0.0, 0.6, "slant"),
-        ],
-    )
-    def test_labels(self, a, b, c, label):
-        assert classify(a, b, c) == label
 
 
 class TestInitialData:
@@ -367,8 +357,3 @@ class TestInitialData:
     def test_rejects_nan_velocity(self):
         with pytest.raises(DomainError):
             InitialData(ORIGIN, FrameVector(math.nan, 0.0, 1.0))
-
-    def test_sample_derives_speed_and_angle(self):
-        sample = TrajectorySample.of(0.5, ORIGIN, FrameVector(0.6, 0.0, 0.8))
-        assert sample.speed == pytest.approx(1.0, abs=1e-15)
-        assert sample.cos_theta == 0.8
