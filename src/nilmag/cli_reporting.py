@@ -20,12 +20,13 @@ import json
 import math
 import sys
 from dataclasses import astuple, dataclass
-from itertools import islice
+from itertools import islice, product
 
 import numpy as np
 
 from .errors import DomainError
 from .geometry import (
+    DECOMPOSITIONS,
     CoordVector,
     FrameVector,
     coord_to_frame,
@@ -52,6 +53,7 @@ from .lie_core import (
 )
 from .trajectories import (
     InitialData,
+    homogeneous_generator,
     magnetic_grid,
     magnetic_point,
     magnetic_point_from,
@@ -65,12 +67,6 @@ class CheckResult:
     name: str
     max_error: float
     tolerance: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    checks: tuple[CheckResult, ...]
     passed: bool
 
 
@@ -97,7 +93,8 @@ def check_homogeneity(
     """Closed-form trajectories against group orbits, random sweep.
 
     n random unit initial velocities with charges in [-2, 2] (or all
-    zero), compared on a 101-point grid over [0, 10].
+    zero), compared on a 101-point grid over [0, 10] with the orbits of
+    their homogeneous_generator.
     """
     rng = np.random.default_rng([seed, 2 if q_zero else 1])
     vel = _unit_velocities(rng, n)
@@ -106,7 +103,7 @@ def check_homogeneity(
 
     s_grid = np.linspace(0.0, 10.0, 101)
     closed = magnetic_grid(a[:, None], b[:, None], c[:, None], q[:, None], s_grid)
-    gens = np.column_stack([a, b, c, c + q * j_strength])
+    gens = np.column_stack(astuple(homogeneous_generator(a, b, c, q, j_strength)))
     orbits = orbit_grid(gens, 10.0, 100)
 
     err = np.max(np.linalg.norm(closed - orbits, axis=-1))
@@ -235,10 +232,7 @@ def check_convergence(j_strength: float = 1.0) -> CheckResult:
 def check_u_tensor() -> CheckResult:
     """Tensor table on the Heisenberg decomposition and vanishing on the
     naturally reductive one."""
-    e1 = OscVector(1, 0, 0, 0)
-    e2 = OscVector(0, 1, 0, 0)
-    e3 = OscVector(0, 0, 1, 0)
-    nil3 = [e1, e2, e3]
+    nil3 = DECOMPOSITIONS["nil3"]
     zero = (0.0, 0.0, 0.0, 0.0)
     # U(E1, E3) = -E2/2 and U(E2, E3) = E1/2, symmetric, rest zero
     expected = {
@@ -256,7 +250,7 @@ def check_u_tensor() -> CheckResult:
             u = u_tensor(nil3, x, y)
             devs.append(np.subtract(astuple(u), expected.get((i, j), zero)))
 
-    m_basis = [e1, e2, OscVector(0, 0, 1, 1)]
+    m_basis = DECOMPOSITIONS["m"]
     for x in m_basis:
         for y in m_basis:
             devs.append(astuple(u_tensor(m_basis, x, y)))
@@ -270,15 +264,11 @@ def check_go_grid() -> CheckResult:
     w4 == w3 and w1 == w2 == 0; max_error counts mismatches.
     """
     mismatches = 0
-    vals = (-2, -1, 0, 1, 2)
-    for w1 in vals:
-        for w2 in vals:
-            for w3 in vals:
-                for w4 in vals:
-                    expected = (w4 == w3) or (w1 == 0 and w2 == 0)
-                    got = go_criterion(OscVector(w1, w2, w3, w4), "nil3")
-                    if got.is_pregeodesic != expected:
-                        mismatches += 1
+    for w1, w2, w3, w4 in product((-2, -1, 0, 1, 2), repeat=4):
+        expected = (w4 == w3) or (w1 == 0 and w2 == 0)
+        got = go_criterion(OscVector(w1, w2, w3, w4), "nil3")
+        if got.is_pregeodesic != expected:
+            mismatches += 1
     return _result("go_grid_classification", float(mismatches), 0.0)
 
 
@@ -286,32 +276,34 @@ def check_group_identities(seed: int, n: int = 1000) -> list[CheckResult]:
     """Subgroup product, matrix factorization, and the nilpotent BCH
     identity on random coordinates in [-5, 5]."""
     rng = np.random.default_rng([seed, 5])
-    sub_devs, fac_devs, bch_devs = [], [], []
-    for _ in range(n):
-        x, y, z, t = rng.uniform(-5.0, 5.0, 4)
-        g = osc_multiply(OscElement(x, y, z, 0.0), OscElement(0.0, 0.0, 0.0, t))
-        sub_devs.append((g.x - x, g.y - y, g.z - z, g.t - t))
+    # row i holds instance i: (x, y, z, t), then the two BCH vectors
+    draws = rng.uniform(-5.0, 5.0, (n, 10))
+    x, y, z, t = draws[:, :4].T
+    g = osc_multiply(OscElement(x, y, z, 0.0), OscElement(0.0, 0.0, 0.0, t))
+    sub_devs = (g.x - x, g.y - y, g.z - z, g.t - t)
 
-        m = matrix_exp(algebra_matrix(OscVector(x, y, z, 0.0))) @ matrix_exp(
-            algebra_matrix(OscVector(0.0, 0.0, 0.0, t))
-        )
-        fac_devs.append(m - osc_to_matrix(OscElement(x, y, z, t)))
+    # matrix_exp and osc_to_matrix take one 4x4 matrix, so the
+    # factorization alone goes instance by instance
+    fac_devs = [
+        matrix_exp(algebra_matrix(OscVector(xi, yi, zi, 0.0)))
+        @ matrix_exp(algebra_matrix(OscVector(0.0, 0.0, 0.0, ti)))
+        - osc_to_matrix(OscElement(xi, yi, zi, ti))
+        for xi, yi, zi, ti in draws[:, :4]
+    ]
 
-        ux, uy, uz = rng.uniform(-5.0, 5.0, 3)
-        vx, vy, vz = rng.uniform(-5.0, 5.0, 3)
-        xv = OscVector(ux, uy, uz, 0.0)
-        yv = OscVector(vx, vy, vz, 0.0)
-        br = bracket(xv, yv)
-        lhs = nil_multiply(exp_nil(xv), exp_nil(yv))
-        rhs = exp_nil(
-            OscVector(
-                xv.e1 + yv.e1 + 0.5 * br.e1,
-                xv.e2 + yv.e2 + 0.5 * br.e2,
-                xv.e3 + yv.e3 + 0.5 * br.e3,
-                0.0,
-            )
+    xv = OscVector(*draws[:, 4:7].T, 0.0)
+    yv = OscVector(*draws[:, 7:].T, 0.0)
+    br = bracket(xv, yv)
+    lhs = nil_multiply(exp_nil(xv), exp_nil(yv))
+    rhs = exp_nil(
+        OscVector(
+            xv.e1 + yv.e1 + 0.5 * br.e1,
+            xv.e2 + yv.e2 + 0.5 * br.e2,
+            xv.e3 + yv.e3 + 0.5 * br.e3,
+            0.0,
         )
-        bch_devs.append((lhs.x - rhs.x, lhs.y - rhs.y, lhs.z - rhs.z))
+    )
+    bch_devs = (lhs.x - rhs.x, lhs.y - rhs.y, lhs.z - rhs.z)
     return [
         _result("matrix_subgroup_product", np.max(np.abs(sub_devs)), 1e-12),
         _result("group_factorization", np.max(np.abs(fac_devs)), 1e-11),
@@ -323,15 +315,12 @@ def check_frame_gram(seed: int, n: int = 1000) -> CheckResult:
     """Orthonormality of the frame under the coordinate metric at random
     points."""
     rng = np.random.default_rng([seed, 6])
+    p = NilPoint(*rng.uniform(-5.0, 5.0, (n, 3)).T)
     frame = [FrameVector(1, 0, 0), FrameVector(0, 1, 0), FrameVector(0, 0, 1)]
-    devs = []
-    for _ in range(n):
-        p = NilPoint(*rng.uniform(-5.0, 5.0, 3))
-        coords = [frame_to_coord(p, f) for f in frame]
-        for i in range(3):
-            for j in range(3):
-                devs.append(metric(p, coords[i], coords[j]) - (1.0 if i == j else 0.0))
-    return _result("frame_gram", np.max(np.abs(devs)), 1e-13)
+    coords = [frame_to_coord(p, f) for f in frame]
+    # gram[i, j] holds <E_i, E_j> at every point
+    gram = np.array([[metric(p, u, v) for v in coords] for u in coords])
+    return _result("frame_gram", np.max(np.abs(gram.T - np.eye(3))), 1e-13)
 
 
 def check_reeb_lorentz() -> CheckResult:
@@ -368,11 +357,7 @@ def run_checks(seed: int, j_strength: float = 1.0) -> list[CheckResult]:
     return sorted(checks, key=lambda c: c.name)
 
 
-def build_report(checks: list[CheckResult]) -> VerifyReport:
-    return VerifyReport(tuple(checks), all(c.passed for c in checks))
-
-
-def report_json(report: VerifyReport) -> str:
+def report_json(checks: list[CheckResult]) -> str:
     """The report as strict JSON: a non-finite max_error is written null."""
     obj = {
         "checks": [
@@ -382,9 +367,9 @@ def report_json(report: VerifyReport) -> str:
                 "tolerance": c.tolerance,
                 "pass": c.passed,
             }
-            for c in report.checks
+            for c in checks
         ],
-        "pass": report.passed,
+        "pass": all(c.passed for c in checks),
     }
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
@@ -411,10 +396,12 @@ def _emit_rows(args: argparse.Namespace) -> np.ndarray:
         per = max(1, round((args.s_max / args.steps) / args.h))
         n = args.steps * per
         h_eff = args.s_max / n
+        # the grid first: a row count too large to allocate fails here,
+        # before any RK4 step
+        s = np.arange(0, n + 1, per) * h_eff
         init = InitialData(p0, FrameVector(args.a, args.b, args.c), args.q)
         kept = islice(rk4_states(init, StepConfig(h_eff, n)), 0, None, per)
         states = np.array(list(kept))
-        s = np.arange(0, n + 1, per) * h_eff
         point = NilPoint(*states[:, :3].T)
         cv = CoordVector(*states[:, 3:].T)
         fv = coord_to_frame(point, cv)
@@ -528,7 +515,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for i in (1, 2, 3, 4):
         crit.add_argument(f"--w{i}", type=float, required=True,
                           help=f"generator component on E{i}")
-    crit.add_argument("--decomposition", choices=("nil3", "m"), default="nil3")
+    crit.add_argument("--decomposition", choices=tuple(DECOMPOSITIONS), default="nil3")
     crit.add_argument("--format", choices=("csv", "json"), default="csv")
     crit.set_defaults(out=None)
 
@@ -553,14 +540,14 @@ def main(argv=None) -> int:
                     text = run_orbit(args)
                 else:
                     text = run_criterion(args)
-    except DomainError as exc:
+    except (DomainError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     if args.command == "verify":
-        report = build_report(run_checks(args.seed, 1.0 + args.fault_j))
-        sys.stdout.write(report_json(report))
-        return 0 if report.passed else 1
+        checks = run_checks(args.seed, 1.0 + args.fault_j)
+        sys.stdout.write(report_json(checks))
+        return 0 if all(c.passed for c in checks) else 1
 
     if args.out is not None:
         with open(args.out, "w") as fh:

@@ -6,4 +6,4 @@ class DomainError(ValueError):
 
 
 class ShapeError(ValueError):
-    """A matrix does not have the structure the conversion expects."""
+    """An array does not have the shape or structure the operation expects."""

@@ -16,6 +16,7 @@ criterion deciding whether a one-parameter orbit is a pre-geodesic.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,14 @@ class CriterionResult:
     is_pregeodesic: bool
     k: float | None = None
     family: str | None = None
+
+
+# bases of the reductive summand m of the two decompositions of the
+# oscillator algebra; the complement is the rotation axis E4 in both
+DECOMPOSITIONS = {
+    "nil3": (OscVector(1, 0, 0, 0), OscVector(0, 1, 0, 0), OscVector(0, 0, 1, 0)),
+    "m": (OscVector(1, 0, 0, 0), OscVector(0, 1, 0, 0), OscVector(0, 0, 1, 1)),
+}
 
 
 def frame_to_coord(p: NilPoint, v: FrameVector) -> CoordVector:
@@ -147,7 +156,7 @@ def curve_acceleration(
     return FrameVector(ddx + cos_t * dy, ddy - cos_t * dx, dcos_t)
 
 
-def _coefficients(basis: list[OscVector], v: OscVector) -> np.ndarray:
+def _coefficients(basis: Sequence[OscVector], v: OscVector) -> np.ndarray:
     """Coordinates of v on basis + [E4], the rotation axis completing it.
 
     The last entry is the component along E4; dropping it projects onto
@@ -162,7 +171,7 @@ def _coefficients(basis: list[OscVector], v: OscVector) -> np.ndarray:
         raise DomainError("basis + complement is not a basis of the algebra") from None
 
 
-def u_tensor(basis: list[OscVector], x: OscVector, y: OscVector) -> OscVector:
+def u_tensor(basis: Sequence[OscVector], x: OscVector, y: OscVector) -> OscVector:
     """Symmetric tensor of a reductive decomposition, on the given basis.
 
     The basis spans the reductive summand m and is declared orthonormal;
@@ -203,21 +212,19 @@ def go_criterion(w: OscVector, decomposition: str = "nil3") -> CriterionResult:
     in the summand, solving for k by least squares and accepting when the
     residual is below 1e-10 * (1 + |w|^2).  A vanishing projection w_m
     (isotropy directions, constant orbit) is reported as a pre-geodesic
-    with k = 0.
+    with k = 0.  decomposition names the summand, a key of DECOMPOSITIONS.
 
     Raises DomainError when a component of w, or its squared norm, is not
-    finite.
+    finite, or when decomposition is not a key of DECOMPOSITIONS.
     """
     # products, not **, so that an overflow gives inf instead of raising
     norm2 = w.e1 * w.e1 + w.e2 * w.e2 + w.e3 * w.e3 + w.e4 * w.e4
     if not math.isfinite(norm2):
         raise DomainError("generator components and their squared norm must be finite")
-    if decomposition == "nil3":
-        basis = [OscVector(1, 0, 0, 0), OscVector(0, 1, 0, 0), OscVector(0, 0, 1, 0)]
-    elif decomposition == "m":
-        basis = [OscVector(1, 0, 0, 0), OscVector(0, 1, 0, 0), OscVector(0, 0, 1, 1)]
-    else:
-        raise DomainError(f"unknown decomposition {decomposition!r}")
+    try:
+        basis = DECOMPOSITIONS[decomposition]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        raise DomainError(f"unknown decomposition {decomposition!r}") from None
 
     wm = _coefficients(basis, w)[:-1]
     lhs = np.array([_coefficients(basis, bracket(w, v))[:-1] @ wm for v in basis])

@@ -203,11 +203,14 @@ def matrix_exp(m: Matrix4) -> Matrix4:
     Cost: 6 + s matrix products and about 20 numpy calls, with no
     per-term test; about 25-30 us per 4x4 call on a 2-core Xeon.
 
-    Takes any square matrix.  A non-finite entry, or a 1-norm that
-    overflows, gives an all-NaN matrix instead of raising, so a NaN
-    reaches the caller's checks.
+    Takes any non-empty square matrix and raises ShapeError for any
+    other shape.
+    A non-finite entry, or a 1-norm that overflows, gives an all-NaN
+    matrix instead of raising, so a NaN reaches the caller's checks.
     """
     a = np.asarray(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ShapeError(f"expected a non-empty square matrix, got shape {a.shape}")
     norm = np.abs(a).sum(axis=0).max()
     if not math.isfinite(norm):
         return np.full(a.shape, np.nan)

@@ -23,11 +23,12 @@ exactly what the verification suite checks).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ShapeError
 from .geometry import FrameVector
 from .lie_core import (
     NilPoint,
@@ -178,20 +179,21 @@ def magnetic_grid(a, b, c, q, s_values) -> np.ndarray:
 def orbit_grid(w, s_max: float, steps: int) -> np.ndarray:
     """Orbit coordinates on the uniform grid s = 0, ds, ..., s_max.
 
-    w is one generator (OscVector or length-4 array) or a stack of shape
-    (n, 4).  Returns (steps+1, 3) or (n, steps+1, 3) accordingly, and
-    raises DomainError when steps < 1.  One matrix exponential per
-    generator plus a product recurrence along the grid, so large sweeps
-    stay cheap.
+    w is one generator (OscVector of scalars or length-4 array) or a
+    stack of shape (n, 4).  Returns (steps+1, 3) or (n, steps+1, 3)
+    accordingly.  Raises ShapeError for any other shape of w, and
+    DomainError unless steps is an integer of at least 1.  One matrix
+    exponential per generator plus a product recurrence along the grid,
+    so large sweeps stay cheap.
     """
-    if isinstance(w, OscVector):
-        rows = np.array([[w.e1, w.e2, w.e3, w.e4]])
-        single = True
-    else:
-        rows = np.atleast_2d(np.asarray(w, dtype=float))
-        single = np.asarray(w).ndim == 1
-    if steps < 1:
-        raise DomainError("steps must be at least 1")
+    is_vector = isinstance(w, OscVector)
+    rows = np.asarray(astuple(w) if is_vector else w, dtype=float)
+    if rows.shape[-1:] != (4,) or rows.ndim > (1 if is_vector else 2):
+        raise ShapeError(f"expected 4 components or an (n, 4) stack, got shape {rows.shape}")
+    if not (isinstance(steps, numbers.Integral) and steps >= 1):
+        raise DomainError("steps must be an integer of at least 1")
+    single = rows.ndim == 1
+    rows = rows.reshape(-1, 4)
     n = rows.shape[0]
     ds = s_max / steps
 

@@ -96,6 +96,17 @@ def test_criterion_9_fault_sensitivity(capsys):
     assert '"pass": false' in out
 
 
+def test_wrong_generator_coefficient_fails_homogeneity(monkeypatch):
+    """The orbit check must run the library's generator: a 1% error in
+    its rotation coefficient has to fail it."""
+
+    def wrong(a, b, c, q, j_strength=1.0):
+        return OscVector(a, b, c, c + 1.01 * q * j_strength)
+
+    monkeypatch.setattr(cli_reporting, "homogeneous_generator", wrong)
+    assert not check_homogeneity(SEED, n=50).passed
+
+
 def test_nan_coupling_fails_the_integrator_checks():
     """A NaN coupling must fail the sweep and the convergence order, not
     vanish from their maxima."""

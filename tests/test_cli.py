@@ -5,16 +5,24 @@ import math
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from nilmag import FrameVector, InitialData, NilPoint, OscVector, StepConfig, orbit_point
+from nilmag import (
+    FrameVector,
+    InitialData,
+    NilPoint,
+    OscVector,
+    StepConfig,
+    cli_reporting,
+    orbit_point,
+)
 from nilmag.cli_reporting import (
     _build_parser,
     _emit_rows,
     _result,
     _validate,
-    build_report,
     main,
     report_json,
     run_checks,
@@ -37,6 +45,23 @@ CHECK_NAMES = [
     "reeb_lorentz_identities",
     "u_tensor_table",
 ]
+
+# a row count whose arrays (about 80 TB) are far beyond any RAM, so the
+# allocation is refused at once; a count whose arrays could be allocated
+# would fill the memory instead
+TOO_MANY_STEPS = str(10**13)
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# the README's emit and orbit command lines, pinned byte for byte
+GOLDEN_RUNS = {
+    "emit_closed": ("emit", "--a", "0.8", "--b", "0", "--c", "0.6", "--q", "1.9",
+                    "--s-max", "10", "--steps", "100"),
+    "emit_rk4": ("emit", "--a", "1", "--b", "0", "--c", "0", "--q", "1",
+                 "--source", "rk4", "--h", "1e-3"),
+    "orbit": ("orbit", "--w1", "1", "--w2", "0", "--w3", "1", "--w4", "1",
+              "--s-max", "6.28", "--steps", "50"),
+}
 
 
 def run_cli(capsys, *args):
@@ -189,6 +214,18 @@ class TestEmit:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("source", ["closed", "rk4"])
+    def test_refuses_a_grid_too_large_to_allocate(self, capsys, monkeypatch, source):
+        def no_stepping(*args):
+            raise AssertionError("RK4 ran before the grid was allocated")
+
+        monkeypatch.setattr(cli_reporting, "rk4_states", no_stepping)
+        code, out, err = run_cli(
+            capsys, "emit", "--steps", TOO_MANY_STEPS, "--source", source
+        )
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
 
 class TestCriterion:
     @staticmethod
@@ -287,6 +324,16 @@ class TestOrbit:
         assert code == 2
         assert out == "" and err.startswith("error:")
 
+    def test_refuses_a_grid_too_large_to_allocate(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "orbit",
+            "--w1", "1", "--w2", "0", "--w3", "1", "--w4", "1",
+            "--steps", TOO_MANY_STEPS,
+        )
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
     def test_json_output(self, capsys):
         _, out, _ = run_cli(
             capsys,
@@ -321,10 +368,10 @@ class TestVerify:
 
     def test_report_is_reproducible(self, verify_seed7):
         _, out = verify_seed7
-        assert out == report_json(build_report(run_checks(7)))
+        assert out == report_json(run_checks(7))
 
     def test_non_finite_error_is_strict_json_null(self):
-        text = report_json(build_report([_result("x", math.nan, 0.0)]))
+        text = report_json([_result("x", math.nan, 0.0)])
 
         def reject(name):
             raise ValueError(f"non-standard JSON constant {name}")
@@ -337,6 +384,28 @@ class TestVerify:
         args = _build_parser().parse_args(["verify", "--fault-j", "nan"])
         _validate(args)
         assert math.isnan(args.fault_j)
+
+
+class TestGolden:
+    """Output bytes against the files in tests/golden.
+
+    The files hold the bytes for the numpy build and CPU they were
+    written on: numpy picks its sin, cos and pow loops by build and CPU,
+    so on another machine the last bits may differ (README, Determinism).
+    A regeneration changes the output, and CHANGES.md records it with the
+    old and new values.
+    """
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", list(GOLDEN_RUNS))
+    def test_command_output(self, capsys, name, fmt):
+        code, out, _ = run_cli(capsys, *GOLDEN_RUNS[name], "--format", fmt)
+        assert code == 0
+        assert out.encode() == (GOLDEN / f"{name}.{fmt}").read_bytes()
+
+    def test_verify_report(self, verify_seed7):
+        _, out = verify_seed7
+        assert out.encode() == (GOLDEN / "verify_seed7.json").read_bytes()
 
 
 class TestInvocation:

@@ -317,6 +317,11 @@ class TestGoCriterion:
         with pytest.raises(DomainError):
             go_criterion(w, decomposition)
 
+    @pytest.mark.parametrize("decomposition", ["nil", "", ["m"]])
+    def test_rejects_unknown_decomposition(self, decomposition):
+        with pytest.raises(DomainError):
+            go_criterion(OscVector(1.0, 0.0, 1.0, 1.0), decomposition)
+
     @pytest.mark.parametrize(
         "w, family",
         [

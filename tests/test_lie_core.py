@@ -285,6 +285,12 @@ class TestMatrixExp:
         got = matrix_exp(algebra_matrix(OscVector(0.0, 0.0, 0.0, 1e308)))
         assert got.shape == (4, 4)
 
+    @pytest.mark.parametrize("shape", [(4,), (4, 3), (2, 4, 4), (0, 0)])
+    def test_rejects_non_square_input(self, shape):
+        # a vector used to come back as the 4x4 identity
+        with pytest.raises(ShapeError):
+            matrix_exp(np.zeros(shape))
+
 
 class TestExponentials:
     def test_exp_nil_reeb_direction(self):

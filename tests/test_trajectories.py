@@ -10,6 +10,7 @@ from nilmag import (
     InitialData,
     NilPoint,
     OscVector,
+    ShapeError,
     curve_acceleration,
     frame_to_coord,
     homogeneous_generator,
@@ -331,6 +332,22 @@ class TestGrids:
     def test_orbit_grid_rejects_fewer_than_one_step(self, steps):
         with pytest.raises(DomainError):
             orbit_grid(OscVector(1.0, 0.0, 1.0, 1.0), 2.0, steps)
+
+    def test_orbit_grid_rejects_fractional_steps(self):
+        with pytest.raises(DomainError):
+            orbit_grid(OscVector(1.0, 0.0, 1.0, 1.0), 2.0, 2.5)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 5), (2, 2, 4)])
+    def test_orbit_grid_rejects_wrong_generator_shape(self, shape):
+        # a (n, 3) stack used to give the orbits of (w1, w2, w3, 0)
+        with pytest.raises(ShapeError):
+            orbit_grid(np.ones(shape), 2.0, 4)
+
+    def test_orbit_grid_rejects_oscvector_of_arrays(self):
+        # four generators in one OscVector used to be read transposed
+        w = OscVector(np.ones(4), np.zeros(4), np.ones(4), np.arange(4.0))
+        with pytest.raises(ShapeError):
+            orbit_grid(w, 2.0, 4)
 
     def test_orbit_grid_batch(self):
         w1 = homogeneous_generator(1.0, 0.0, 0.0, 1.0)
