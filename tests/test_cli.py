@@ -53,7 +53,7 @@ TOO_MANY_STEPS = str(10**13)
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# the README's emit and orbit command lines, pinned byte for byte
+# the README's emit, orbit and criterion command lines, pinned byte for byte
 GOLDEN_RUNS = {
     "emit_closed": ("emit", "--a", "0.8", "--b", "0", "--c", "0.6", "--q", "1.9",
                     "--s-max", "10", "--steps", "100"),
@@ -61,6 +61,9 @@ GOLDEN_RUNS = {
                  "--source", "rk4", "--h", "1e-3"),
     "orbit": ("orbit", "--w1", "1", "--w2", "0", "--w3", "1", "--w4", "1",
               "--s-max", "6.28", "--steps", "50"),
+    "criterion": ("criterion", "--w1", "0", "--w2", "0", "--w3", "1", "--w4", "1"),
+    "criterion_m": ("criterion", "--w1", "1", "--w2", "0", "--w3", "1", "--w4", "0",
+                    "--decomposition", "m"),
 }
 
 
