@@ -141,7 +141,7 @@ def check_orbit_formulas(seed: int, n: int = 500) -> CheckResult:
     return _result("orbit_coordinate_formulas", err, 1e-10)
 
 
-# steps of check_ode_sweep per magnetic_grid call; its temporaries are a few
+# steps of check_ode_sweep per closed-form call; its temporaries are a few
 # dozen arrays of _SWEEP_BLOCK * n floats, so the block stays small
 _SWEEP_BLOCK = 100
 
@@ -168,6 +168,8 @@ def check_ode_sweep(
     starts = rng.uniform(-2.0, 2.0, (n, 3))
     a, b, c = vel[:, 0], vel[:, 1], vel[:, 2]
     p0 = NilPoint(starts[:, 0], starts[:, 1], starts[:, 2])
+    # the charge the integrator sees; j_strength = 1 leaves q as it is
+    q_rk4 = q * j_strength
 
     state = batch_initial_state(starts, vel)
     ct0 = state[5] + 0.5 * (state[3] * state[1] - state[0] * state[4])
@@ -179,13 +181,12 @@ def check_ode_sweep(
     for k0 in range(1, nsteps + 1, _SWEEP_BLOCK):
         m = min(_SWEEP_BLOCK, nsteps + 1 - k0)
         for i in range(m):
-            state = batch_step(state, h, q, j_strength)
+            state = batch_step(state, h, q_rk4)
             states[i] = state
         x, y, z, vx, vy, vz = states[:m].transpose(1, 0, 2)
 
         s = np.arange(k0, k0 + m)[:, None] * h
-        origin = magnetic_grid(a, b, c, q, s)
-        closed = nil_multiply(p0, NilPoint(*np.moveaxis(origin, -1, 0)))
+        closed = magnetic_point_from(p0, a, b, c, q, s)
         d2 = (x - closed.x) ** 2 + (y - closed.y) ** 2 + (z - closed.z) ** 2
         pos_err2 = np.maximum(pos_err2, np.max(d2))
 
@@ -211,11 +212,11 @@ def check_convergence(j_strength: float = 1.0) -> CheckResult:
     """
     a, b, c, q = 0.8, 0.0, 0.6, 1.9
     target = magnetic_point(a, b, c, q, 10.0)
-    init = InitialData(NilPoint(0.0, 0.0, 0.0), FrameVector(a, b, c), q)
+    init = InitialData(NilPoint(0.0, 0.0, 0.0), FrameVector(a, b, c), q * j_strength)
 
     errs = []
     for h, n in ((4e-3, 2500), (2e-3, 5000), (1e-3, 10000)):
-        for u in rk4_states(init, StepConfig(h, n), j_strength):
+        for u in rk4_states(init, StepConfig(h, n)):
             pass
         errs.append(math.dist(u[:3], (target.x, target.y, target.z)))
     ratios = [
@@ -282,14 +283,11 @@ def check_group_identities(seed: int, n: int = 1000) -> list[CheckResult]:
     g = osc_multiply(OscElement(x, y, z, 0.0), OscElement(0.0, 0.0, 0.0, t))
     sub_devs = (g.x - x, g.y - y, g.z - z, g.t - t)
 
-    # matrix_exp and osc_to_matrix take one 4x4 matrix, so the
-    # factorization alone goes instance by instance
-    fac_devs = [
-        matrix_exp(algebra_matrix(OscVector(xi, yi, zi, 0.0)))
-        @ matrix_exp(algebra_matrix(OscVector(0.0, 0.0, 0.0, ti)))
-        - osc_to_matrix(OscElement(xi, yi, zi, ti))
-        for xi, yi, zi, ti in draws[:, :4]
-    ]
+    # the matrix forms are built once on the draw arrays; matrix_exp takes
+    # one 4x4 matrix, so it alone maps over the instances
+    exp_t = [matrix_exp(m) for m in algebra_matrix(OscVector(x, y, z, 0.0))]
+    exp_r = [matrix_exp(m) for m in algebra_matrix(OscVector(0.0, 0.0, 0.0, t))]
+    fac_devs = np.matmul(exp_t, exp_r) - osc_to_matrix(OscElement(x, y, z, t))
 
     xv = OscVector(*draws[:, 4:7].T, 0.0)
     yv = OscVector(*draws[:, 7:].T, 0.0)
@@ -468,8 +466,9 @@ def _validate(args: argparse.Namespace) -> None:
     if args.command == "emit":
         if not (args.h > 0.0):
             raise DomainError("h must be positive")
-        if args.source == "rk4" and not math.isfinite(args.s_max / args.steps / args.h):
-            raise DomainError("s-max / (steps * h) must be finite")
+        # the RK4 steps per row; islice refuses a stride past 2**63 - 1
+        if args.source == "rk4" and not args.s_max / args.steps / args.h < 2.0 ** 63:
+            raise DomainError("s-max / (steps * h) must be below 2**63")
         norm = math.sqrt(args.a ** 2 + args.b ** 2 + args.c ** 2)
         if abs(norm - 1.0) > 1e-6:
             raise DomainError(

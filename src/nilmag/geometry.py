@@ -156,17 +156,19 @@ def curve_acceleration(
     return FrameVector(ddx + cos_t * dy, ddy - cos_t * dx, dcos_t)
 
 
-def _coefficients(basis: Sequence[OscVector], v: OscVector) -> np.ndarray:
-    """Coordinates of v on basis + [E4], the rotation axis completing it.
+def _coefficients(basis: Sequence[OscVector], *vs: OscVector) -> np.ndarray:
+    """Coordinates of each v on basis + [E4], the rotation axis completing
+    it, as column j for vs[j]: one solve for all of them.
 
-    The last entry is the component along E4; dropping it projects onto
+    The last row is the component along E4; dropping it projects onto
     the span of the basis along the reductive complement.  Raises
     DomainError unless basis + [E4] is a basis of the algebra.
     """
     cols = [[b.e1, b.e2, b.e3, b.e4] for b in basis]
     cols.append([0.0, 0.0, 0.0, 1.0])
+    rhs = [[v.e1, v.e2, v.e3, v.e4] for v in vs]
     try:
-        return np.linalg.solve(np.array(cols).T, np.array([v.e1, v.e2, v.e3, v.e4]))
+        return np.linalg.solve(np.array(cols).T, np.array(rhs).T)
     except np.linalg.LinAlgError:
         raise DomainError("basis + complement is not a basis of the algebra") from None
 
@@ -186,23 +188,15 @@ def u_tensor(basis: Sequence[OscVector], x: OscVector, y: OscVector) -> OscVecto
     Raises DomainError when x or y is outside the span of the basis
     (component along the complement above 1e-12).
     """
-    cx = _coefficients(basis, x)
-    cy = _coefficients(basis, y)
-    if abs(cx[-1]) > 1e-12 or abs(cy[-1]) > 1e-12:
+    # columns: x, y, then [Z, Y] and [Z, X] for each basis Z in turn
+    brackets = [w for z in basis for w in (bracket(z, y), bracket(z, x))]
+    coef = _coefficients(basis, x, y, *brackets)
+    if abs(coef[-1, 0]) > 1e-12 or abs(coef[-1, 1]) > 1e-12:
         raise DomainError("arguments must lie in the span of the basis")
-    cx = cx[:-1]
-    cy = cy[:-1]
-
-    coeffs = []
-    for z in basis:
-        bz_y = _coefficients(basis, bracket(z, y))[:-1]
-        bz_x = _coefficients(basis, bracket(z, x))[:-1]
-        coeffs.append(0.5 * (cx @ bz_y + cy @ bz_x))
-
-    out = np.zeros(4)
-    for c, b in zip(coeffs, basis):
-        out += c * np.array([b.e1, b.e2, b.e3, b.e4])
-    return OscVector(out[0], out[1], out[2], out[3])
+    cx, cy, *bz = coef[:-1].T
+    coeffs = [0.5 * (cx @ bz_y + cy @ bz_x) for bz_y, bz_x in zip(bz[::2], bz[1::2])]
+    terms = (c * np.array([b.e1, b.e2, b.e3, b.e4]) for c, b in zip(coeffs, basis))
+    return OscVector(*sum(terms))
 
 
 def go_criterion(w: OscVector, decomposition: str = "nil3") -> CriterionResult:
@@ -226,8 +220,8 @@ def go_criterion(w: OscVector, decomposition: str = "nil3") -> CriterionResult:
     except (KeyError, TypeError):  # TypeError: an unhashable name
         raise DomainError(f"unknown decomposition {decomposition!r}") from None
 
-    wm = _coefficients(basis, w)[:-1]
-    lhs = np.array([_coefficients(basis, bracket(w, v))[:-1] @ wm for v in basis])
+    wm, *bw = _coefficients(basis, w, *(bracket(w, v) for v in basis))[:-1].T
+    lhs = np.array([c @ wm for c in bw])
     rhs = wm  # <w_m, V_i> for an orthonormal basis
     tol = 1e-10 * (1.0 + norm2)
 

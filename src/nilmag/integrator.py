@@ -43,49 +43,44 @@ class StepConfig:
             raise DomainError("step count must be nonnegative")
 
 
-def _rhs(x, y, z, vx, vy, vz, q, j_strength):
+def _rhs(x, y, z, vx, vy, vz, q):
     ct = vz + 0.5 * (vx * y - x * vy)
-    w = q * j_strength + ct
+    w = q + ct
     ax = -w * vy
     ay = w * vx
     az = -0.5 * (ax * y - x * ay)
     return vx, vy, vz, ax, ay, az
 
 
-def _step(u, h, q, j):
+def _step(u, h, q):
     # classical RK4 on the flattened 6-tuple
-    k1 = _rhs(*u, q, j)
-    k2 = _rhs(*(ui + 0.5 * h * ki for ui, ki in zip(u, k1)), q, j)
-    k3 = _rhs(*(ui + 0.5 * h * ki for ui, ki in zip(u, k2)), q, j)
-    k4 = _rhs(*(ui + h * ki for ui, ki in zip(u, k3)), q, j)
+    k1 = _rhs(*u, q)
+    k2 = _rhs(*(ui + 0.5 * h * ki for ui, ki in zip(u, k1)), q)
+    k3 = _rhs(*(ui + 0.5 * h * ki for ui, ki in zip(u, k2)), q)
+    k4 = _rhs(*(ui + h * ki for ui, ki in zip(u, k3)), q)
     return tuple(
         ui + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
         for ui, a, b, c, d in zip(u, k1, k2, k3, k4)
     )
 
 
-def rk4_states(init: InitialData, cfg: StepConfig, j_strength: float = 1.0):
+def rk4_states(init: InitialData, cfg: StepConfig):
     """The RK4 states (x, y, z, vx, vy, vz) at s = 0, h, ..., n*h, as
     tuples of coordinate floats: the one loop stepping a single trajectory.
-
-    j_strength rescales the magnetic coupling for the suite's
-    fault-injection self-test; leave it at 1.
     """
     p0 = init.start
     cv = frame_to_coord(p0, init.velocity)
     u = (p0.x, p0.y, p0.z, cv.dx, cv.dy, cv.dz)
     yield u
     for _ in range(cfg.n):
-        u = _step(u, cfg.h, init.q, j_strength)
+        u = _step(u, cfg.h, init.q)
         yield u
 
 
-def integrate(
-    init: InitialData, cfg: StepConfig, j_strength: float = 1.0
-) -> np.ndarray:
+def integrate(init: InitialData, cfg: StepConfig) -> np.ndarray:
     """The states of rk4_states as one (n + 1, 6) array whose row k holds
     the coordinates (x, y, z, vx, vy, vz) at s = k*h."""
-    return np.array(list(rk4_states(init, cfg, j_strength)))
+    return np.array(list(rk4_states(init, cfg)))
 
 
 # ---------------------------------------------------------------------------
@@ -100,17 +95,17 @@ def integrate(
 # on a tuple of six rows.
 
 
-def batch_rhs(state, q, j_strength=1.0):
+def batch_rhs(state, q):
     """_rhs on a (6, n) state; q may be an array of n charges."""
-    return np.array(_rhs(*state, q, j_strength))
+    return np.array(_rhs(*state, q))
 
 
-def batch_step(state, h, q, j_strength=1.0):
+def batch_step(state, h, q):
     """One RK4 step on a (6, n) state."""
-    k1 = batch_rhs(state, q, j_strength)
-    k2 = batch_rhs(state + 0.5 * h * k1, q, j_strength)
-    k3 = batch_rhs(state + 0.5 * h * k2, q, j_strength)
-    k4 = batch_rhs(state + h * k3, q, j_strength)
+    k1 = batch_rhs(state, q)
+    k2 = batch_rhs(state + 0.5 * h * k1, q)
+    k3 = batch_rhs(state + 0.5 * h * k2, q)
+    k4 = batch_rhs(state + h * k3, q)
     return state + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 

@@ -91,10 +91,11 @@ def osc_multiply(g1: OscElement, g2: OscElement) -> OscElement:
     """Oscillator group product in canonical coordinates.
 
     The first factor rotates the (x, y) part of the second by t1; the t
-    coordinates add exactly (no mod 2*pi reduction).
+    coordinates add exactly (no mod 2*pi reduction).  Fields may be
+    broadcastable arrays.
     """
-    ct = math.cos(g1.t)
-    st = math.sin(g1.t)
+    ct = np.cos(g1.t)
+    st = np.sin(g1.t)
     return OscElement(
         g1.x + g2.x * ct - g2.y * st,
         g1.y + g2.x * st + g2.y * ct,
@@ -104,17 +105,26 @@ def osc_multiply(g1: OscElement, g2: OscElement) -> OscElement:
     )
 
 
+def _matrix_stack(*entries) -> np.ndarray:
+    """The 16 row-major entries of a 4x4 matrix, scalars or broadcastable
+    arrays, as one array of shape broadcast(entries) + (4, 4)."""
+    shape = np.broadcast(*entries).shape
+    out = np.empty(shape + (16,))
+    for k, entry in enumerate(entries):
+        out[..., k] = entry
+    return out.reshape(shape + (4, 4))
+
+
 def osc_to_matrix(g: OscElement) -> Matrix4:
-    """Faithful 4x4 matrix form of an oscillator group element."""
-    ct = math.cos(g.t)
-    st = math.sin(g.t)
-    return np.array(
-        [
-            [1.0, g.x * st - g.y * ct, g.x * ct + g.y * st, 2.0 * g.z],
-            [0.0, ct, -st, g.x],
-            [0.0, st, ct, g.y],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
+    """Faithful 4x4 matrix form of an oscillator group element; array
+    fields give the stack of shape broadcast(fields) + (4, 4)."""
+    ct = np.cos(g.t)
+    st = np.sin(g.t)
+    return _matrix_stack(
+        1.0, g.x * st - g.y * ct, g.x * ct + g.y * st, 2.0 * g.z,
+        0.0, ct, -st, g.x,
+        0.0, st, ct, g.y,
+        0.0, 0.0, 0.0, 1.0,
     )
 
 
@@ -123,14 +133,13 @@ def algebra_matrix(v: OscVector) -> Matrix4:
 
     Differentiating osc_to_matrix of the coordinate flows at the identity
     gives this shape; matrix commutators of these reproduce bracket().
+    Array fields give the stack of shape broadcast(fields) + (4, 4).
     """
-    return np.array(
-        [
-            [0.0, -v.e2, v.e1, 2.0 * v.e3],
-            [0.0, 0.0, -v.e4, v.e1],
-            [0.0, v.e4, 0.0, v.e2],
-            [0.0, 0.0, 0.0, 0.0],
-        ]
+    return _matrix_stack(
+        0.0, -v.e2, v.e1, 2.0 * v.e3,
+        0.0, 0.0, -v.e4, v.e1,
+        0.0, v.e4, 0.0, v.e2,
+        0.0, 0.0, 0.0, 0.0,
     )
 
 
@@ -243,9 +252,9 @@ def exp_nil(v: OscVector) -> NilPoint:
 
     In exponential coordinates this is the identity on (e1, e2, e3).
     Satisfies exp(X) exp(Y) = exp(X + Y + [X,Y]/2) since the algebra is
-    2-step nilpotent.
+    2-step nilpotent.  Fields may be arrays; every e4 entry must be 0.
     """
-    if v.e4 != 0.0:
+    if np.any(v.e4 != 0.0):
         raise DomainError("exp_nil needs a Heisenberg algebra vector (e4 = 0)")
     return NilPoint(v.e1, v.e2, v.e3)
 

@@ -229,6 +229,19 @@ class TestEmit:
         assert code == 2
         assert out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("s_max", ["1e20", "1e300"])
+    def test_refuses_rk4_steps_per_row_past_int64(self, capsys, monkeypatch, s_max):
+        # 1e20 / 1e-3 = 1e23 RK4 steps per row; islice takes no stride that large
+        def no_stepping(*args):
+            raise AssertionError("RK4 ran for a step count that was to be refused")
+
+        monkeypatch.setattr(cli_reporting, "rk4_states", no_stepping)
+        code, out, err = run_cli(
+            capsys, "emit", "--source", "rk4", "--s-max", s_max, "--steps", "1", "--h", "1e-3"
+        )
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "2**63" in err
+
 
 class TestCriterion:
     @staticmethod

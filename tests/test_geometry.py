@@ -259,6 +259,12 @@ class TestUTensor:
             fvec4(u_tensor(NIL_BASIS, y, x)), abs=1e-13
         )
 
+    def test_one_solve_for_all_coefficients(self, monkeypatch):
+        calls = count_solves(monkeypatch)
+        u_tensor(NIL_BASIS, OSC_E1, OSC_E3)
+        # x, y and the brackets of both with each of the 3 basis vectors
+        assert calls == [(4, 8)]
+
     def test_rejects_vector_outside_span(self):
         with pytest.raises(DomainError):
             u_tensor(NIL_BASIS, OSC_E4, OSC_E1)
@@ -283,6 +289,19 @@ def fvec4(v):
     return np.array([v.e1, v.e2, v.e3, v.e4])
 
 
+def count_solves(monkeypatch):
+    """Record the right-hand-side shape of every np.linalg.solve call."""
+    calls = []
+    solve = np.linalg.solve
+
+    def counting(a, b):
+        calls.append(np.shape(b))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return calls
+
+
 class TestGoCriterion:
     def test_vertical_axis_is_pregeodesic(self):
         res = go_criterion(OscVector(0.0, 0.0, 1.0, 1.0))
@@ -292,6 +311,12 @@ class TestGoCriterion:
     def test_plane_direction_with_matched_rotation(self):
         res = go_criterion(OscVector(0.0, 0.0, 2.0, 2.0))
         assert res.is_pregeodesic
+
+    def test_one_solve_for_all_coefficients(self, monkeypatch):
+        calls = count_solves(monkeypatch)
+        go_criterion(OscVector(1.0, 2.0, 3.0, 3.0), "m")
+        # w and its brackets with each of the 3 basis vectors
+        assert calls == [(4, 4)]
 
     def test_generic_direction_fails(self):
         res = go_criterion(OscVector(1.0, 0.0, 1.0, 0.0))

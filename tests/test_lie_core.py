@@ -136,6 +136,17 @@ class TestOscMultiply:
         p = nil_multiply(a, b)
         assert (g.x, g.y, g.z, g.t) == (p.x, p.y, p.z, 0.0)
 
+    def test_array_fields_match_per_element_products(self):
+        rng = np.random.default_rng(1)
+        a = rng.uniform(-5.0, 5.0, (4, 6))
+        b = rng.uniform(-5.0, 5.0, (4, 6))
+        got = osc_multiply(OscElement(*a), OscElement(*b))
+        for i in range(6):
+            want = osc_multiply(OscElement(*map(float, a[:, i])), OscElement(*map(float, b[:, i])))
+            assert tuple(f[i] for f in (got.x, got.y, got.z, got.t)) == (
+                want.x, want.y, want.z, want.t
+            )
+
 
 class TestMatrixForms:
     def test_identity_element(self):
@@ -198,6 +209,21 @@ class TestMatrixForms:
         m[1, 1] = -1.0
         with pytest.raises(ShapeError):
             matrix_to_osc(m)
+
+    @pytest.mark.parametrize(
+        "form, cls", [(osc_to_matrix, OscElement), (algebra_matrix, OscVector)]
+    )
+    def test_array_fields_give_the_per_element_stack(self, form, cls):
+        rng = np.random.default_rng(2)
+        col = rng.uniform(-5.0, 5.0, (3, 1))
+        row = rng.uniform(-5.0, 5.0, 2)
+        fields = (col, row, -0.0, col + row)
+        stack = form(cls(*fields))
+        assert stack.shape == (3, 2, 4, 4)
+        for i, j in np.ndindex(3, 2):
+            one = form(cls(*(float(np.broadcast_to(f, (3, 2))[i, j]) for f in fields)))
+            # bit for bit, signed zeros included
+            assert stack[i, j].tobytes() == one.tobytes()
 
 
 def _uniform(seed, scale):
@@ -304,6 +330,14 @@ class TestExponentials:
     def test_exp_nil_rejects_rotation_part(self):
         with pytest.raises(DomainError):
             exp_nil(OscVector(1.0, 0.0, 0.0, 0.1))
+
+    def test_exp_nil_takes_array_fields(self):
+        g = exp_nil(OscVector(np.ones(2), np.full(2, 2.0), np.full(2, 3.0), np.zeros(2)))
+        assert [list(f) for f in (g.x, g.y, g.z)] == [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]
+
+    def test_exp_nil_rejects_one_rotation_entry(self):
+        with pytest.raises(DomainError):
+            exp_nil(OscVector(np.ones(3), np.ones(3), np.ones(3), np.array([0.0, 1e-300, 0.0])))
 
     @given(*(st.floats(-2.0, 2.0) for _ in range(6)))
     def test_exp_nil_addition_rule(self, a1, a2, a3, b1, b2, b3):

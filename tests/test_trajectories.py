@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import mpmath
 import numpy as np
@@ -21,6 +22,7 @@ from nilmag import (
     magnetic_velocity,
     orbit_grid,
     orbit_point,
+    trajectories,
 )
 
 ORIGIN = NilPoint(0.0, 0.0, 0.0)
@@ -327,6 +329,21 @@ class TestGrids:
         for i in (0, 1, 17, 50):
             s = 5.0 * i / 50
             assert grid[i] == pytest.approx(pvec(orbit_point(w, s)), abs=1e-12)
+
+    def test_orbit_grid_builds_the_step_generators_in_one_call(self, monkeypatch):
+        calls = []
+        build = trajectories.algebra_matrix
+
+        def counting(v):
+            calls.append(np.shape(v.e1))
+            return build(v)
+
+        monkeypatch.setattr(trajectories, "algebra_matrix", counting)
+        gens = [astuple(homogeneous_generator(0.48, -0.6, 0.64, q)) for q in (0.0, 1.0, 2.0)]
+        grid = orbit_grid(np.array(gens), 5.0, 50)
+        assert calls == [(3,)]
+        for w, orbit in zip(gens, grid):
+            assert orbit[-1] == pytest.approx(pvec(orbit_point(OscVector(*w), 5.0)), abs=1e-12)
 
     @pytest.mark.parametrize("steps", [0, -1])
     def test_orbit_grid_rejects_fewer_than_one_step(self, steps):
