@@ -59,6 +59,9 @@ GOLDEN_RUNS = {
                     "--s-max", "10", "--steps", "100"),
     "emit_rk4": ("emit", "--a", "1", "--b", "0", "--c", "0", "--q", "1",
                  "--source", "rk4", "--h", "1e-3"),
+    # q = -c: a straight line, u = 0 on the whole grid (K3's Taylor branch)
+    "emit_line": ("emit", "--a", "0.6", "--b", "0", "--c", "0.8", "--q", "-0.8",
+                  "--s-max", "5", "--steps", "50"),
     "orbit": ("orbit", "--w1", "1", "--w2", "0", "--w3", "1", "--w4", "1",
               "--s-max", "6.28", "--steps", "50"),
     "criterion": ("criterion", "--w1", "0", "--w2", "0", "--w3", "1", "--w4", "1"),
