@@ -135,7 +135,7 @@ def check_orbit_formulas(seed: int, n: int = 500) -> CheckResult:
     z = (-a2 * np.sin(cs) + cs * (a2 + 2.0 * c * c)) / (2.0 * c * c)
     literal = np.stack([x, y, z], axis=-1)
 
-    gens = np.column_stack([vel, vel[:, 2]])
+    gens = np.column_stack(astuple(homogeneous_generator(*vel.T, 0.0)))
     orbits = orbit_grid(gens, 10.0, 100)
     err = np.max(np.abs(literal - orbits))
     return _result("orbit_coordinate_formulas", err, 1e-10)
@@ -172,7 +172,7 @@ def check_ode_sweep(
     q_rk4 = q * j_strength
 
     state = batch_initial_state(starts, vel)
-    ct0 = state[5] + 0.5 * (state[3] * state[1] - state[0] * state[4])
+    ct0 = coord_to_frame(NilPoint(*state[:3]), CoordVector(*state[3:])).c
 
     nsteps = int(round(s_max / h))
     states = np.empty((_SWEEP_BLOCK, 6, n))
@@ -190,10 +190,10 @@ def check_ode_sweep(
         d2 = (x - closed.x) ** 2 + (y - closed.y) ** 2 + (z - closed.z) ** 2
         pos_err2 = np.maximum(pos_err2, np.max(d2))
 
-        ct = vz + 0.5 * (vx * y - x * vy)
-        speed = np.sqrt(vx * vx + vy * vy + ct * ct)
+        fv = coord_to_frame(NilPoint(x, y, z), CoordVector(vx, vy, vz))
+        speed = np.sqrt(fv.a ** 2 + fv.b ** 2 + fv.c ** 2)
         speed_err = np.maximum(speed_err, np.max(np.abs(speed - 1.0)))
-        angle_err = np.maximum(angle_err, np.max(np.abs(ct - ct0)))
+        angle_err = np.maximum(angle_err, np.max(np.abs(fv.c - ct0)))
 
     return [
         _result("ode_vs_closed_form", np.sqrt(pos_err2), 1e-6),
@@ -458,6 +458,8 @@ def _validate(args: argparse.Namespace) -> None:
     for name, value in vars(args).items():
         if isinstance(value, float) and name != "fault_j" and not math.isfinite(value):
             raise DomainError(f"--{name.replace('_', '-')} must be finite")
+    if args.command == "verify" and args.seed < 0:
+        raise DomainError("seed must be non-negative")
     if args.command in ("emit", "orbit"):
         if args.steps < 1:
             raise DomainError("steps must be at least 1")
@@ -539,7 +541,10 @@ def main(argv=None) -> int:
                     text = run_orbit(args)
                 else:
                     text = run_criterion(args)
-    except (DomainError, MemoryError) as exc:
+            if args.out is not None:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+    except (DomainError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -547,11 +552,7 @@ def main(argv=None) -> int:
         checks = run_checks(args.seed, 1.0 + args.fault_j)
         sys.stdout.write(report_json(checks))
         return 0 if all(c.passed for c in checks) else 1
-
-    if args.out is not None:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
+    if args.out is None:
         sys.stdout.write(text)
     return 0
 

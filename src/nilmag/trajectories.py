@@ -120,10 +120,10 @@ def orbit_point(v: OscVector, s: float) -> NilPoint:
 # the closed-form kernels, evaluated on arrays
 
 
-def _k1_arr(u: np.ndarray) -> np.ndarray:
+def _k1_arr(u: np.ndarray, sin_u: np.ndarray) -> np.ndarray:
     out = np.ones_like(u)
     nz = u != 0.0
-    out[nz] = np.sin(u[nz]) / u[nz]
+    out[nz] = sin_u[nz] / u[nz]
     return out
 
 
@@ -135,7 +135,7 @@ def _k2_arr(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _k3_arr(u: np.ndarray) -> np.ndarray:
+def _k3_arr(u: np.ndarray, sin_u: np.ndarray) -> np.ndarray:
     out = np.empty_like(u)
     small = np.abs(u) < 0.5
     u2 = u[small] ** 2
@@ -144,32 +144,30 @@ def _k3_arr(u: np.ndarray) -> np.ndarray:
         acc = acc * u2 + coef
     out[small] = acc
     ub = u[~small]
-    out[~small] = (ub - np.sin(ub)) / ub ** 3
+    out[~small] = (ub - sin_u[~small]) / ub ** 3
     return out
 
 
 def _magnetic_xyz(a, b, c, q, s):
     """x, y, z of the charged trajectory from the origin, over
     broadcastable inputs; floats for scalar input, else arrays of the
-    broadcast shape."""
-    a, b, c, q, s = np.broadcast_arrays(
-        *(np.asarray(w, dtype=float) for w in (a, b, c, q, s))
-    )
-    shape = a.shape
-    a, b, c, q, s = (np.ravel(w) for w in (a, b, c, q, s))
+    broadcast shape.  The unit-speed test, q + c and s**3 run at their
+    own inputs' shapes, and K1 and K3 share one sin(u)."""
+    a, b, c, q, s = (np.asarray(w, dtype=float) for w in (a, b, c, q, s))
     # written so that a NaN component fails the check
-    if not np.max(np.abs(a * a + b * b + c * c - 1.0)) <= 1e-12:
+    if not np.all(np.abs(a * a + b * b + c * c - 1.0) <= 1e-12):
         raise DomainError("velocity components must be unit vectors")
     cq = q + c
     u = cq * s
-    k1 = _k1_arr(u)
+    sin_u = np.sin(u)
+    k1 = _k1_arr(u, sin_u)
     k2 = _k2_arr(u)
     x = s * (a * k1 + b * k2)
     y = s * (b * k1 - a * k2)
-    z = c * s + 0.5 * (a * a + b * b) * cq * s ** 3 * _k3_arr(u)
-    if not shape:
-        return float(x[0]), float(y[0]), float(z[0])
-    return x.reshape(shape), y.reshape(shape), z.reshape(shape)
+    z = c * s + 0.5 * (a * a + b * b) * cq * s ** 3 * _k3_arr(u, sin_u)
+    if np.ndim(x) == 0:
+        return float(x), float(y), float(z)
+    return x, y, z
 
 
 def magnetic_grid(a, b, c, q, s_values) -> np.ndarray:

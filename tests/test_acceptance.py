@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from nilmag import OscElement, OscVector, cli_reporting
+from nilmag import FrameVector, OscElement, OscVector, cli_reporting
 from nilmag.cli_reporting import (
     check_convergence,
     check_frame_gram,
@@ -97,14 +97,31 @@ def test_criterion_9_fault_sensitivity(capsys):
 
 
 def test_wrong_generator_coefficient_fails_homogeneity(monkeypatch):
-    """The orbit check must run the library's generator: a 1% error in
-    its rotation coefficient has to fail it."""
+    """The orbit checks must run the library's generator: a 1% error in
+    either term of its rotation coefficient has to fail them."""
 
-    def wrong(a, b, c, q, j_strength=1.0):
+    def wrong_charge(a, b, c, q, j_strength=1.0):
         return OscVector(a, b, c, c + 1.01 * q * j_strength)
 
-    monkeypatch.setattr(cli_reporting, "homogeneous_generator", wrong)
+    def wrong_contact(a, b, c, q, j_strength=1.0):
+        return OscVector(a, b, c, 1.01 * c + q * j_strength)
+
+    monkeypatch.setattr(cli_reporting, "homogeneous_generator", wrong_charge)
     assert not check_homogeneity(SEED, n=50).passed
+    monkeypatch.setattr(cli_reporting, "homogeneous_generator", wrong_contact)
+    assert not check_orbit_formulas(SEED, n=50).passed
+
+
+def test_wrong_contact_cosine_fails_the_contact_angle(monkeypatch):
+    """The sweep must read the contact cosine from coord_to_frame: a 2%
+    error in its twist term has to fail the conservation check."""
+
+    def wrong(p, v):
+        return FrameVector(v.dx, v.dy, v.dz + 0.51 * (v.dx * p.y - p.x * v.dy))
+
+    monkeypatch.setattr(cli_reporting, "coord_to_frame", wrong)
+    results = {r.name: r for r in check_ode_sweep(SEED, n=20)}
+    assert not results["conservation_contact_angle"].passed
 
 
 def test_nan_coupling_fails_the_integrator_checks():

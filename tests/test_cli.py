@@ -185,6 +185,16 @@ class TestEmit:
         assert header[0] == "s"
         assert len(rows) == 3
 
+    @pytest.mark.parametrize(
+        "command", [("emit",), ("orbit", "--w1", "1", "--w2", "0", "--w3", "1", "--w4", "1")]
+    )
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, command):
+        target = tmp_path / "missing" / "line.csv"
+        code, out, err = run_cli(capsys, *command, "--steps", "2", "--out", str(target))
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+        assert not target.exists()
+
     def test_rejects_non_unit_velocity(self, capsys):
         code, out, err = run_cli(capsys, "emit", "--a", "1", "--c", "1")
         assert code == 2
@@ -403,6 +413,11 @@ class TestVerify:
         args = _build_parser().parse_args(["verify", "--fault-j", "nan"])
         _validate(args)
         assert math.isnan(args.fault_j)
+
+    def test_rejects_negative_seed(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--seed", "-1")
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "seed" in err
 
 
 class TestGolden:

@@ -318,9 +318,34 @@ class TestGrids:
                 assert type(want.x) is float
                 assert (p.x[i, j], p.y[i, j], p.z[i, j]) == (want.x, want.y, want.z)
 
+        # the ode sweep's layout: one velocity and charge per column, s
+        # down the rows; the first column is the straight line q = -c
+        a = np.array([0.6, 0.48, 0.0, -0.8])
+        b = np.array([0.0, -0.6, 0.6, 0.0])
+        c = np.array([0.8, 0.64, -0.8, 0.6])
+        q = np.array([-0.8, 1.3, -2.1, 0.4])
+        s = np.array([[0.0], [0.2], [0.3], [2.0], [90.0]])
+        p = magnetic_point(a, b, c, q, s)
+        assert p.x.shape == (5, 4)
+        for i in range(5):
+            for j in range(4):
+                want = magnetic_point(a[j], b[j], c[j], q[j], float(s[i, 0]))
+                assert (p.x[i, j], p.y[i, j], p.z[i, j]) == (want.x, want.y, want.z)
+
     def test_magnetic_grid_rejects_non_unit(self):
         with pytest.raises(DomainError):
             magnetic_grid(1.0, 1.0, 0.0, 0.0, np.array([0.5]))
+
+    def test_magnetic_grid_unit_test_on_empty_and_column_arrays(self):
+        assert magnetic_grid(0.8, 0, 0.6, 1.9, np.array([])).shape == (0, 3)
+        empty = np.array([])
+        assert magnetic_grid(empty, empty, empty, 0, 1).shape == (0, 3)
+        # one bad velocity among three still fails on the (5, 3) grid
+        s = np.linspace(0.0, 1.0, 5)[:, None]
+        for bad in (math.nan, 0.5):
+            a = np.array([0.6, 0.0, bad])
+            with pytest.raises(DomainError):
+                magnetic_grid(a, np.array([0.0, 0.6, 0.0]), 0.8, np.zeros(3), s)
 
     def test_orbit_grid_matches_orbit_point(self):
         w = homogeneous_generator(0.48, -0.6, 0.64, 1.9)
