@@ -409,16 +409,16 @@ def _emit_rows(args: argparse.Namespace) -> np.ndarray:
 
 
 def _serialise(fields: tuple[str, ...], rows: np.ndarray, fmt: str) -> str:
-    """CSV or JSON text of a (rows, fields) array; floats as repr."""
+    """CSV or JSON text of a (rows >= 1, fields) array in one %r format pass."""
     if not np.all(np.isfinite(rows)):
         raise DomainError("the output would hold non-finite values; the inputs are too large")
-    rows = rows.tolist()
     if fmt == "json":
-        obj = {"samples": [dict(zip(fields, row)) for row in rows]}
-        return json.dumps(obj, indent=2) + "\n"
-    lines = [",".join(fields)]
-    lines.extend(",".join(map(repr, row)) for row in rows)
-    return "\n".join(lines) + "\n"
+        row = "    {\n" + ",\n".join(f'      "{f}": %r' for f in fields) + "\n    }"
+        head, sep, tail = '{\n  "samples": [\n', ",\n", "\n  ]\n}\n"
+    else:
+        head, sep, tail = ",".join(fields) + "\n", "\n", "\n"
+        row = ",".join(["%r"] * len(fields))
+    return head + sep.join([row] * len(rows)) % tuple(rows.ravel().tolist()) + tail
 
 
 def run_emit(args: argparse.Namespace) -> str:

@@ -44,6 +44,12 @@ from .lie_core import (
 _K3_COEFFS = [(-1.0) ** k / math.factorial(2 * k + 3) for k in range(8)]
 
 
+def _require_unit(a, b, c):
+    # the one unit-speed test; written so that a NaN component fails it
+    if not np.all(np.abs(a * a + b * b + c * c - 1.0) <= 1e-12):
+        raise DomainError("velocity components must be unit vectors")
+
+
 @dataclass(frozen=True)
 class InitialData:
     """Start point, unit frame velocity, and charge of a trajectory."""
@@ -53,9 +59,7 @@ class InitialData:
     q: float = 0.0
 
     def __post_init__(self):
-        v = self.velocity
-        if not abs(v.a * v.a + v.b * v.b + v.c * v.c - 1.0) <= 1e-12:
-            raise DomainError("initial velocity must have unit length")
+        _require_unit(self.velocity.a, self.velocity.b, self.velocity.c)
 
 
 def magnetic_point(a, b, c, q, s) -> NilPoint:
@@ -85,9 +89,10 @@ def magnetic_point_from(
 def magnetic_velocity(a: float, b: float, c: float, q: float, s: float) -> FrameVector:
     """Frame velocity along the charged trajectory at arc length s.
 
-    The contact cosine c is a first integral, the planar part rotates
-    at rate q + c.  Broadcasts over arrays like magnetic_point.
+    The contact cosine c is a first integral, the planar part rotates at
+    rate q + c.  Broadcasts and rejects non-unit input like magnetic_point.
     """
+    _require_unit(a, b, c)
     u = (q + c) * s
     cu = np.cos(u)
     su = np.sin(u)
@@ -154,9 +159,7 @@ def _magnetic_xyz(a, b, c, q, s):
     broadcast shape.  The unit-speed test, q + c and s**3 run at their
     own inputs' shapes, and K1 and K3 share one sin(u)."""
     a, b, c, q, s = (np.asarray(w, dtype=float) for w in (a, b, c, q, s))
-    # written so that a NaN component fails the check
-    if not np.all(np.abs(a * a + b * b + c * c - 1.0) <= 1e-12):
-        raise DomainError("velocity components must be unit vectors")
+    _require_unit(a, b, c)
     cq = q + c
     u = cq * s
     sin_u = np.sin(u)

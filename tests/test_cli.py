@@ -7,9 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nilmag import (
+    DomainError,
     FrameVector,
     InitialData,
     NilPoint,
@@ -19,9 +21,12 @@ from nilmag import (
     orbit_point,
 )
 from nilmag.cli_reporting import (
+    _EMIT_FIELDS,
+    _ORBIT_FIELDS,
     _build_parser,
     _emit_rows,
     _result,
+    _serialise,
     _validate,
     main,
     report_json,
@@ -372,6 +377,83 @@ class TestOrbit:
         )
         data = json.loads(out)
         assert [sample["z"] for sample in data["samples"]] == [0.0, 0.5, 1.0]
+
+
+# doubles whose repr takes each of its forms: signed zero, subnormal,
+# exponent notation on both sides, the largest finite magnitudes
+EDGE_FLOATS = [-0.0, 5e-324, 1e-5, 1e16, 1e22, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def reference_text(fields, rows, fmt):
+    """The emit/orbit text as the json module and a repr join write it."""
+    rows = rows.tolist()
+    if fmt == "json":
+        return json.dumps({"samples": [dict(zip(fields, r)) for r in rows]}, indent=2) + "\n"
+    return "\n".join([",".join(fields)] + [",".join(map(repr, r)) for r in rows]) + "\n"
+
+
+class TestSerialise:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n", [1, 2, 10001])
+    @pytest.mark.parametrize("fields", [_EMIT_FIELDS, _ORBIT_FIELDS], ids=["emit", "orbit"])
+    def test_matches_reference_writer(self, fields, n, fmt):
+        rng = np.random.default_rng([n, len(fields)])
+        rows = rng.normal(size=(n, len(fields))) * 10.0 ** rng.integers(-300, 300, (n, len(fields)))
+        rows.flat[: len(EDGE_FLOATS)] = EDGE_FLOATS[: rows.size]
+        assert _serialise(fields, rows, fmt) == reference_text(fields, rows, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_edge_rows_match_reference_writer(self, fmt):
+        rows = np.repeat(np.array(EDGE_FLOATS)[:, None], len(_EMIT_FIELDS), axis=1)
+        assert _serialise(_EMIT_FIELDS, rows, fmt) == reference_text(_EMIT_FIELDS, rows, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_rows(self, bad, fmt):
+        rows = np.ones((3, len(_ORBIT_FIELDS)))
+        rows[1, 2] = bad
+        with pytest.raises(DomainError):
+            _serialise(_ORBIT_FIELDS, rows, fmt)
+
+
+def seeded_command(seed, source):
+    """An emit (closed or rk4) or orbit command line with 200 intervals
+    and arguments drawn from the seed."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=3)
+    v /= np.linalg.norm(v)
+    q, x0, y0, z0 = rng.uniform(-2.0, 2.0, 4)
+    w = rng.uniform(-2.0, 2.0, 4)
+    s_max = rng.uniform(1.0, 10.0)
+    if source == "orbit":
+        names, values = ("w1", "w2", "w3", "w4"), w
+    else:
+        names, values = ("a", "b", "c", "q", "x0", "y0", "z0"), (*v, q, x0, y0, z0)
+    flags = [f for name, value in zip(names, values) for f in (f"--{name}", repr(float(value)))]
+    command = ["orbit" if source == "orbit" else "emit", *flags, "--s-max", repr(s_max)]
+    if source == "rk4":
+        command += ["--source", "rk4", "--h", "1e-2"]
+    return command + ["--steps", "200"]
+
+
+class TestCrossFormat:
+    """The CSV and JSON texts of one command hold the same doubles, and the
+    JSON is what json.dumps(indent=2) writes for them."""
+
+    @pytest.mark.parametrize("source", ["closed", "rk4", "orbit"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_json_values_equal_csv_rows(self, capsys, seed, source):
+        command = seeded_command(seed, source)
+        code, csv_text, _ = run_cli(capsys, *command, "--format", "csv")
+        assert code == 0
+        code, json_text, _ = run_cli(capsys, *command, "--format", "json")
+        assert code == 0
+        header, rows = parse_csv(csv_text)
+        samples = json.loads(json_text)["samples"]
+        assert [list(sample) for sample in samples] == [header] * len(rows)
+        assert [list(sample.values()) for sample in samples] == rows
+        assert len(rows) == 201
+        assert json_text == json.dumps(json.loads(json_text), indent=2) + "\n"
 
 
 @pytest.fixture(scope="module")

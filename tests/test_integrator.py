@@ -18,7 +18,7 @@ from nilmag import (
     magnetic_velocity,
 )
 from nilmag.cli_reporting import check_ode_sweep
-from nilmag.integrator import batch_initial_state, batch_rhs, batch_step, rk4_states
+from nilmag.integrator import _rhs, batch_initial_state, batch_rhs, batch_step, rk4_states
 
 ORIGIN = NilPoint(0.0, 0.0, 0.0)
 
@@ -184,6 +184,45 @@ class TestBatch:
             )
             final = integrate(init, StepConfig(h=h, n=n))[-1]
             assert np.max(np.abs(state[:, i] - final)) <= 1e-13
+
+
+def generator_step(u, h, q):
+    """The RK4 step as it was written with generator expressions and zip:
+    the reference that integrator._step must match bit for bit."""
+    k1 = _rhs(*u, q)
+    k2 = _rhs(*(ui + 0.5 * h * ki for ui, ki in zip(u, k1)), q)
+    k3 = _rhs(*(ui + 0.5 * h * ki for ui, ki in zip(u, k2)), q)
+    k4 = _rhs(*(ui + h * ki for ui, ki in zip(u, k3)), q)
+    return tuple(
+        ui + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+        for ui, a, b, c, d in zip(u, k1, k2, k3, k4)
+    )
+
+
+class TestScalarStep:
+    @pytest.mark.parametrize(
+        "velocity, q",
+        [
+            ((0.48, -0.6, 0.64), 1.3),
+            ((0.6, 0.0, 0.8), -0.8),  # q = -c: a straight line
+            ((0.8, 0.0, 0.6), 1.9 * 1.01),
+        ],
+    )
+    def test_states_match_generator_step_exactly(self, velocity, q):
+        init = InitialData(NilPoint(0.3, -1.2, 2.0), FrameVector(*velocity), q)
+        states = list(rk4_states(init, StepConfig(h=0.013, n=2500)))
+        u = states[0]
+        want = [u]
+        for _ in range(2500):
+            u = generator_step(u, 0.013, q)
+            want.append(u)
+        assert states == want
+
+    def test_nan_charge_propagates(self):
+        init = InitialData(ORIGIN, FrameVector(0.6, 0.0, 0.8), math.nan)
+        states = np.array(list(rk4_states(init, StepConfig(h=0.01, n=10))))
+        assert np.all(np.isfinite(states[0]))
+        assert np.all(np.isnan(states[1:]))
 
 
 def stepwise_ode_sweep(seed, n, h, s_max):

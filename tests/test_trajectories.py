@@ -171,6 +171,20 @@ class TestMagneticVelocity:
                 assert fd == pytest.approx([v.dx, v.dy, v.dz], abs=1e-6)
 
 
+    @pytest.mark.parametrize("a, b, c", [(2.0, 0.0, 0.0), (math.nan, 0.0, 1.0), (0.6, 0.0, 0.0)])
+    def test_rejects_non_unit_velocity(self, a, b, c):
+        with pytest.raises(DomainError):
+            magnetic_velocity(a, b, c, 0.0, 1.0)
+        with pytest.raises(DomainError):
+            magnetic_velocity(np.array([0.6, a]), np.array([0.0, b]), np.array([0.8, c]), 1.9,
+                              np.linspace(0.0, 1.0, 4)[:, None])
+
+    def test_empty_velocity_arrays_pass(self):
+        empty = np.array([])
+        v = magnetic_velocity(empty, empty, empty, 1.9, 2.0)
+        assert v.a.shape == v.b.shape == (0,)
+
+
 class TestMagneticPointFrom:
     def test_origin_start_reduces(self):
         got = magnetic_point_from(ORIGIN, 0.8, 0.0, 0.6, 1.9, 2.0)
