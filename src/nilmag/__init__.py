@@ -19,14 +19,12 @@ from .geometry import (
 )
 from .integrator import StepConfig, integrate
 from .lie_core import (
-    Matrix4,
     NilPoint,
     OscElement,
     OscVector,
     algebra_matrix,
     bracket,
     exp_nil,
-    exp_osc,
     matrix_exp,
     matrix_to_osc,
     nil_multiply,

@@ -486,6 +486,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "closed forms, group orbits, and a verification suite.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the run_* names are looked up here, at call time, so a wrapper
+    # installed on the module (the benchmark's tracer) is the one called
 
     emit = sub.add_parser("emit", help="sample one trajectory to CSV or JSON")
     emit.add_argument("--a", type=float, default=0.0, help="frame velocity, first component")
@@ -495,30 +497,30 @@ def _build_parser() -> argparse.ArgumentParser:
     emit.add_argument("--x0", type=float, default=0.0, help="start point x")
     emit.add_argument("--y0", type=float, default=0.0, help="start point y")
     emit.add_argument("--z0", type=float, default=0.0, help="start point z")
-    emit.add_argument("--s-max", type=float, default=10.0, help="arc length span")
-    emit.add_argument("--steps", type=int, default=100, help="grid intervals (rows - 1)")
     emit.add_argument("--h", type=float, default=1e-3, help="integrator step (rk4 source)")
     emit.add_argument("--source", choices=("closed", "rk4"), default="closed",
                       help="closed form or numerical integration")
-    emit.add_argument("--format", choices=("csv", "json"), default="csv")
-    emit.add_argument("--out", default=None, help="output file (default stdout)")
+    emit.set_defaults(run=run_emit)
 
     orbit = sub.add_parser("orbit", help="sample the orbit exp(s W).o")
-    for i in (1, 2, 3, 4):
-        orbit.add_argument(f"--w{i}", type=float, required=True,
-                           help=f"generator component on E{i}")
-    orbit.add_argument("--s-max", type=float, default=10.0)
-    orbit.add_argument("--steps", type=int, default=100)
-    orbit.add_argument("--format", choices=("csv", "json"), default="csv")
-    orbit.add_argument("--out", default=None)
+    orbit.set_defaults(run=run_orbit)
 
     crit = sub.add_parser("criterion", help="pre-geodesic test for a generator W")
-    for i in (1, 2, 3, 4):
-        crit.add_argument(f"--w{i}", type=float, required=True,
-                          help=f"generator component on E{i}")
     crit.add_argument("--decomposition", choices=tuple(DECOMPOSITIONS), default="nil3")
-    crit.add_argument("--format", choices=("csv", "json"), default="csv")
-    crit.set_defaults(out=None)
+    crit.set_defaults(run=run_criterion, out=None)
+
+    # flags shared by several commands, each declared once
+    for cmd in (orbit, crit):
+        for i in (1, 2, 3, 4):
+            cmd.add_argument(f"--w{i}", type=float, required=True,
+                             help=f"generator component on E{i}")
+    for cmd in (emit, orbit):
+        cmd.add_argument("--s-max", type=float, default=10.0,
+                         help="grid span: s runs from 0 to s-max")
+        cmd.add_argument("--steps", type=int, default=100, help="grid intervals (rows - 1)")
+        cmd.add_argument("--out", default=None, help="output file (default stdout)")
+    for cmd in (emit, orbit, crit):
+        cmd.add_argument("--format", choices=("csv", "json"), default="csv")
 
     verify = sub.add_parser("verify", help="run the verification suite")
     verify.add_argument("--seed", type=int, default=0, help="sweep seed (PCG64)")
@@ -535,12 +537,7 @@ def main(argv=None) -> int:
             # overflow shows up as a non-finite output value, which
             # _serialise rejects, so numpy's warnings are not needed
             with np.errstate(all="ignore"):
-                if args.command == "emit":
-                    text = run_emit(args)
-                elif args.command == "orbit":
-                    text = run_orbit(args)
-                else:
-                    text = run_criterion(args)
+                text = args.run(args)
             if args.out is not None:
                 with open(args.out, "w") as fh:
                     fh.write(text)

@@ -49,9 +49,9 @@ class CriterionResult:
 
     k is the proportionality constant of the defining equation and is
     None when the orbit is not a pre-geodesic.  family names the family
-    of generators a pre-geodesic w belongs to ("W4*E4", "W3*E3+W4*E4" or
-    "W1*E1+W2*E2+W3*(E3+E4)", components equal within 1e-12), and is
-    None otherwise.
+    of generators nearest a pre-geodesic w ("W4*E4", "W3*E3+W4*E4" or
+    "W1*E1+W2*E2+W3*(E3+E4)"), and is None exactly when the orbit is not
+    a pre-geodesic.
     """
 
     is_pregeodesic: bool
@@ -204,9 +204,12 @@ def go_criterion(w: OscVector, decomposition: str = "nil3") -> CriterionResult:
 
     Tests for a constant k with <[w, V]_m, w_m> = k <w_m, V> for every V
     in the summand, solving for k by least squares and accepting when the
-    residual is below 1e-10 * (1 + |w|^2).  A vanishing projection w_m
-    (isotropy directions, constant orbit) is reported as a pre-geodesic
-    with k = 0.  decomposition names the summand, a key of DECOMPOSITIONS.
+    residual is below 1e-10 * |w|^2, so the answer does not depend on the
+    scale of w.  An accepted w gets the nearer family: W3*E3+W4*E4 when
+    max(|w1|, |w2|) <= |w4 - w3|, named W4*E4 when also |w3| <= 1e-10 * |w|,
+    else W1*E1+W2*E2+W3*(E3+E4).  A vanishing projection w_m (isotropy
+    directions, constant orbit) is a pre-geodesic with k = 0.
+    decomposition names the summand, a key of DECOMPOSITIONS.
 
     Raises DomainError when a component of w, or its squared norm, is not
     finite, or when decomposition is not a key of DECOMPOSITIONS.
@@ -220,22 +223,22 @@ def go_criterion(w: OscVector, decomposition: str = "nil3") -> CriterionResult:
     except (KeyError, TypeError):  # TypeError: an unhashable name
         raise DomainError(f"unknown decomposition {decomposition!r}") from None
 
-    wm, *bw = _coefficients(basis, w, *(bracket(w, v) for v in basis))[:-1].T
-    lhs = np.array([c @ wm for c in bw])
-    rhs = wm  # <w_m, V_i> for an orthonormal basis
-    tol = 1e-10 * (1.0 + norm2)
+    # the test runs on u = w / 2^e with 1/2 <= |u| < 1: a power of two
+    # scales exactly, so k keeps every bit, and no product of a tiny w
+    # underflows
+    norm_u, e = math.frexp(math.hypot(w.e1, w.e2, w.e3, w.e4))
+    u = OscVector(*(math.ldexp(c, -e) for c in (w.e1, w.e2, w.e3, w.e4)))
+    um, *bu = _coefficients(basis, u, *(bracket(u, v) for v in basis))[:-1].T
+    lhs = np.array([c @ um for c in bu])
+    rhs = um  # <u_m, V_i> for an orthonormal basis
+    tol = 1e-10
 
     denom = rhs @ rhs
-    if denom == 0.0:
-        k = 0.0
-    else:
-        k = (lhs @ rhs) / denom
-    if not (np.max(np.abs(lhs - k * rhs)) <= tol):  # a NaN residual rejects
+    k = 0.0 if denom == 0.0 else (lhs @ rhs) / denom
+    if not (np.max(np.abs(lhs - k * rhs)) <= tol * norm_u * norm_u):  # a NaN rejects
         return CriterionResult(False, None)
-    eps = 1e-12
-    family = None
-    if abs(w.e1) <= eps and abs(w.e2) <= eps:
-        family = "W4*E4" if abs(w.e3) <= eps else "W3*E3+W4*E4"
-    elif abs(w.e4 - w.e3) <= eps:
+    if max(abs(u.e1), abs(u.e2)) <= abs(u.e4 - u.e3):
+        family = "W4*E4" if abs(u.e3) <= tol * norm_u else "W3*E3+W4*E4"
+    else:
         family = "W1*E1+W2*E2+W3*(E3+E4)"
-    return CriterionResult(True, float(k), family)
+    return CriterionResult(True, math.ldexp(k, e), family)

@@ -102,17 +102,12 @@ def integrate(init: InitialData, cfg: StepConfig) -> np.ndarray:
 # trajectory-step against 520 ns for _step on a tuple of six rows.
 
 
-def batch_rhs(state, q):
-    """_rhs on a (6, n) state; q may be an array of n charges."""
-    return np.array(_rhs(*state, q))
-
-
 def batch_step(state, h, q):
-    """One RK4 step on a (6, n) state."""
-    k1 = batch_rhs(state, q)
-    k2 = batch_rhs(state + 0.5 * h * k1, q)
-    k3 = batch_rhs(state + 0.5 * h * k2, q)
-    k4 = batch_rhs(state + h * k3, q)
+    """One RK4 step on a (6, n) state; q may be an array of n charges."""
+    k1 = np.array(_rhs(*state, q))
+    k2 = np.array(_rhs(*(state + 0.5 * h * k1), q))
+    k3 = np.array(_rhs(*(state + 0.5 * h * k2), q))
+    k4 = np.array(_rhs(*(state + h * k3), q))
     return state + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 

@@ -24,10 +24,6 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 
-# alias for 4x4 float arrays
-Matrix4 = np.ndarray
-
-
 @dataclass(frozen=True)
 class OscVector:
     """Oscillator algebra element with coefficients on E1..E4.
@@ -115,7 +111,7 @@ def _matrix_stack(*entries) -> np.ndarray:
     return out.reshape(shape + (4, 4))
 
 
-def osc_to_matrix(g: OscElement) -> Matrix4:
+def osc_to_matrix(g: OscElement) -> np.ndarray:
     """Faithful 4x4 matrix form of an oscillator group element; array
     fields give the stack of shape broadcast(fields) + (4, 4)."""
     ct = np.cos(g.t)
@@ -128,7 +124,7 @@ def osc_to_matrix(g: OscElement) -> Matrix4:
     )
 
 
-def algebra_matrix(v: OscVector) -> Matrix4:
+def algebra_matrix(v: OscVector) -> np.ndarray:
     """Matrix form of an oscillator algebra vector.
 
     Differentiating osc_to_matrix of the coordinate flows at the identity
@@ -143,7 +139,7 @@ def algebra_matrix(v: OscVector) -> Matrix4:
     )
 
 
-def matrix_to_osc(m: Matrix4, t_hint: float = 0.0) -> OscElement:
+def matrix_to_osc(m: np.ndarray, t_hint: float = 0.0) -> OscElement:
     """Invert osc_to_matrix.
 
     The rotation angle is recovered with atan2 and shifted by the multiple
@@ -197,7 +193,7 @@ _TAYLOR_BLOCKS = np.array(
 ).reshape(-1, 4)
 
 
-def matrix_exp(m: Matrix4) -> Matrix4:
+def matrix_exp(m: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring with a fixed Taylor core.
 
     Scaling: A is divided by 2^s with s = ceil(log2(||A||_1 / 0.5)), or
@@ -257,15 +253,6 @@ def exp_nil(v: OscVector) -> NilPoint:
     if np.any(v.e4 != 0.0):
         raise DomainError("exp_nil needs a Heisenberg algebra vector (e4 = 0)")
     return NilPoint(v.e1, v.e2, v.e3)
-
-
-def exp_osc(v: OscVector) -> OscElement:
-    """Oscillator group exponential, computed through the matrix model.
-
-    The t coordinate of exp(v) is exactly v.e4, which is passed as the
-    branch hint so the result stays on the continuous branch.
-    """
-    return matrix_to_osc(matrix_exp(algebra_matrix(v)), t_hint=v.e4)
 
 
 def osc_action(g: OscElement, p: NilPoint) -> NilPoint:

@@ -15,9 +15,10 @@ cancellation.
 
 The same trajectories arise as one-parameter orbits exp(s W).o in the
 isometry group; homogeneous_generator builds the W matching given
-initial data and orbit_point evaluates the orbit through the matrix
+initial data and orbit_grid evaluates the orbit through the matrix
 exponential, with no shared code with the closed forms (that equality is
-exactly what the verification suite checks).
+exactly what the verification suite checks).  orbit_point is the
+one-step orbit_grid: a single exponential of s W.
 """
 
 from __future__ import annotations
@@ -30,15 +31,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .geometry import FrameVector
-from .lie_core import (
-    NilPoint,
-    OscVector,
-    algebra_matrix,
-    exp_osc,
-    matrix_exp,
-    nil_multiply,
-    osc_action,
-)
+from .lie_core import NilPoint, OscVector, algebra_matrix, matrix_exp, nil_multiply
 
 # Taylor coefficients of K3, (-1)^k / (2k+3)!; enough terms for |u| < 0.5
 _K3_COEFFS = [(-1.0) ** k / math.factorial(2 * k + 3) for k in range(8)]
@@ -115,29 +108,17 @@ def homogeneous_generator(
     return OscVector(a, b, c, c + q * j_strength)
 
 
-def orbit_point(v: OscVector, s: float) -> NilPoint:
-    """Evaluate the one-parameter orbit exp(s v).o at the origin o."""
-    g = exp_osc(OscVector(s * v.e1, s * v.e2, s * v.e3, s * v.e4))
-    return osc_action(g, NilPoint(0.0, 0.0, 0.0))
-
-
 # ---------------------------------------------------------------------------
 # the closed-form kernels, evaluated on arrays
 
 
 def _k1_arr(u: np.ndarray, sin_u: np.ndarray) -> np.ndarray:
-    out = np.ones_like(u)
-    nz = u != 0.0
-    out[nz] = sin_u[nz] / u[nz]
-    return out
+    return np.divide(sin_u, u, out=np.ones_like(u), where=u != 0.0)
 
 
 def _k2_arr(u: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(u)
-    nz = u != 0.0
-    s = np.sin(0.5 * u[nz])
-    out[nz] = -2.0 * s * s / u[nz]
-    return out
+    s = np.sin(0.5 * u)
+    return np.divide(-2.0 * s * s, u, out=np.zeros_like(u), where=u != 0.0)
 
 
 def _k3_arr(u: np.ndarray, sin_u: np.ndarray) -> np.ndarray:
@@ -212,3 +193,16 @@ def orbit_grid(w, s_max: float, steps: int) -> np.ndarray:
         out[:, k, 1] = cur[:, 2, 3]
         out[:, k, 2] = 0.5 * cur[:, 0, 3]
     return out[0] if single else out
+
+
+def orbit_point(v: OscVector, s: float) -> NilPoint:
+    """The orbit exp(s v).o at the origin o: the last row of
+    orbit_grid(v, s, 1), one matrix exponential of s v.
+
+    Raises DomainError when the point is not finite (a non-finite or
+    overflowing s v).
+    """
+    row = orbit_grid(v, s, 1)[-1]
+    if not np.all(np.isfinite(row)):
+        raise DomainError("the orbit point is not finite; the generator or s is too large")
+    return NilPoint(*row.tolist())

@@ -5,6 +5,7 @@ pass/fail line for each.  These call the same check functions the
 `nilmag verify` command uses, at full sweep sizes.
 """
 
+import json
 import math
 
 import pytest
@@ -84,16 +85,13 @@ def test_criterion_8_frame_and_rotation_identities():
 
 def test_criterion_9_fault_sensitivity(capsys):
     """A 1e-3 coupling fault must break the orbit and integrator checks."""
-    faulted = check_homogeneity(SEED, n=50, j_strength=1.001)
-    assert not faulted.passed
-
-    position, _, _ = check_ode_sweep(SEED, n=20, j_strength=1.001)
-    assert not position.passed
-
     code = main(["verify", "--fault-j", "1e-3"])
     out, _ = capsys.readouterr()
     assert code == 1
     assert '"pass": false' in out
+    passed = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
+    assert passed["homogeneity_magnetic"] is False
+    assert passed["ode_vs_closed_form"] is False
 
 
 def test_wrong_generator_coefficient_fails_homogeneity(monkeypatch):

@@ -30,7 +30,6 @@ from nilmag.cli_reporting import (
     _validate,
     main,
     report_json,
-    run_checks,
 )
 from nilmag.integrator import rk4_states
 
@@ -306,6 +305,15 @@ class TestCriterion:
         assert code == 0
         assert out == "is_pregeodesic: true\nk: 0.0\nfamily: W1*E1+W2*E2+W3*(E3+E4)\n"
 
+    @pytest.mark.parametrize("w", [(1e11, 0, 1, 3), (1e-6, 0, 1e-6, 0)])
+    @pytest.mark.parametrize("decomposition", ["nil3", "m"])
+    def test_pregeodesic_always_names_its_family(self, capsys, w, decomposition):
+        code, out, _ = run_cli(
+            capsys, "criterion", *self.w_args(*w), "--decomposition", decomposition
+        )
+        assert code == 0
+        assert ("is_pregeodesic: true" in out) == ("family: none" not in out)
+
     def test_missing_component_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["criterion", "--w1", "1", "--w2", "0", "--w3", "0"])
@@ -476,10 +484,6 @@ class TestVerify:
             assert set(check) == {"name", "max_error", "tolerance", "pass"}
             assert check["pass"] is True
             assert check["max_error"] <= check["tolerance"]
-
-    def test_report_is_reproducible(self, verify_seed7):
-        _, out = verify_seed7
-        assert out == report_json(run_checks(7))
 
     def test_non_finite_error_is_strict_json_null(self):
         text = report_json([_result("x", math.nan, 0.0)])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -355,6 +356,10 @@ class TestGoCriterion:
             (OscVector(0.6, -0.8, 0.3, 0.3), "W1*E1+W2*E2+W3*(E3+E4)"),
             (OscVector(0.6, 0.8, 0.0, 0.0), "W1*E1+W2*E2+W3*(E3+E4)"),
             (OscVector(1.0, 0.0, 1.0, 0.0), None),
+            # within 2e-11 of w4 = w3 relative to |w|: accepted, so named
+            (OscVector(1e11, 0.0, 1.0, 3.0), "W1*E1+W2*E2+W3*(E3+E4)"),
+            # the direction of (1, 0, 1, 0), rejected at every scale
+            (OscVector(1e-6, 0.0, 1e-6, 0.0), None),
         ],
     )
     @pytest.mark.parametrize("decomposition", ["nil3", "m"])
@@ -362,6 +367,16 @@ class TestGoCriterion:
         res = go_criterion(w, decomposition)
         assert res.is_pregeodesic == (family is not None)
         assert res.family == family
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e3, 1e6, 1e11])
+    @pytest.mark.parametrize("decomposition", ["nil3", "m"])
+    def test_answer_does_not_depend_on_scale(self, scale, decomposition):
+        # every generator of verify's go_grid check, {-2..2}^4
+        for w in itertools.product((-2, -1, 0, 1, 2), repeat=4):
+            want = go_criterion(OscVector(*w), decomposition)
+            got = go_criterion(OscVector(*(scale * c for c in w)), decomposition)
+            assert (got.is_pregeodesic, got.family) == (want.is_pregeodesic, want.family)
+            assert got.is_pregeodesic == (got.family is not None)
 
     @pytest.mark.parametrize("scale", [1e3, 1e4, 1e5])
     def test_m_decomposition_accepts_large_generators(self, scale):

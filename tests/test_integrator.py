@@ -18,7 +18,7 @@ from nilmag import (
     magnetic_velocity,
 )
 from nilmag.cli_reporting import check_ode_sweep
-from nilmag.integrator import _rhs, batch_initial_state, batch_rhs, batch_step, rk4_states
+from nilmag.integrator import _rhs, batch_initial_state, batch_step, rk4_states
 
 ORIGIN = NilPoint(0.0, 0.0, 0.0)
 
@@ -51,8 +51,8 @@ def random_unit_rows(rng, n):
 
 
 def rhs_of(x, y, z, vx, vy, vz, q):
-    """batch_rhs on one (6,) state, as a list of six floats."""
-    return batch_rhs(np.array([x, y, z, vx, vy, vz]), q).tolist()
+    """_rhs on one state, as a list of six floats."""
+    return [float(d) for d in _rhs(x, y, z, vx, vy, vz, q)]
 
 
 class TestLorentzRhs:

@@ -267,6 +267,23 @@ class TestOrbitPoint:
         assert p.y == pytest.approx(1.0 - math.cos(s), abs=1e-10)
         assert p.z == pytest.approx((3.0 * s - math.sin(s)) / 2.0, abs=1e-10)
 
+    @pytest.mark.parametrize("s", [0.0, 0.7, -2.5, 40.0])
+    def test_is_the_one_step_orbit_grid(self, s):
+        w = OscVector(0.48, -0.6, 0.64, 2.5)
+        assert orbit_point(w, s) == NilPoint(*orbit_grid(w, s, 1)[-1])
+
+    @pytest.mark.parametrize(
+        "w, s",
+        [
+            (OscVector(math.nan, 0.0, 1.0, 1.0), 1.0),
+            (OscVector(1e308, 0.0, 1.0, 1.0), 1.0),
+            (OscVector(1.0, 0.0, 1.0, 1.0), 1e308),
+        ],
+    )
+    def test_non_finite_point_is_a_domain_error(self, w, s):
+        with np.errstate(all="ignore"), pytest.raises(DomainError):
+            orbit_point(w, s)
+
     @pytest.mark.parametrize(
         "a,b,c,q",
         [(1.0, 0.0, 0.0, 1.0), (0.8, 0.0, 0.6, 1.9), (0.48, -0.6, 0.64, -0.7)],
