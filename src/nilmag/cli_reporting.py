@@ -520,7 +520,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--steps", type=int, default=100, help="grid intervals (rows - 1)")
         cmd.add_argument("--out", default=None, help="output file (default stdout)")
     for cmd in (emit, orbit, crit):
-        cmd.add_argument("--format", choices=("csv", "json"), default="csv")
+        cmd.add_argument("--format", choices=("csv", "json"), default="csv",
+                         help="csv (criterion writes key: value lines) or json")
 
     verify = sub.add_parser("verify", help="run the verification suite")
     verify.add_argument("--seed", type=int, default=0, help="sweep seed (PCG64)")

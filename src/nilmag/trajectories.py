@@ -36,6 +36,9 @@ from .lie_core import NilPoint, OscVector, algebra_matrix, matrix_exp, nil_multi
 # Taylor coefficients of K3, (-1)^k / (2k+3)!; enough terms for |u| < 0.5
 _K3_COEFFS = [(-1.0) ** k / math.factorial(2 * k + 3) for k in range(8)]
 
+# bytes of orbit_grid's block buffer of orbit matrices, which bounds its memory
+_ORBIT_BLOCK_BYTES = 1 << 20
+
 
 def _require_unit(a, b, c):
     # the one unit-speed test; written so that a NaN component fails it
@@ -130,7 +133,7 @@ def _k3_arr(u: np.ndarray, sin_u: np.ndarray) -> np.ndarray:
         acc = acc * u2 + coef
     out[small] = acc
     ub = u[~small]
-    out[~small] = (ub - sin_u[~small]) / ub ** 3
+    out[~small] = (ub - sin_u[~small]) / (ub * ub * ub)
     return out
 
 
@@ -167,8 +170,8 @@ def orbit_grid(w, s_max: float, steps: int) -> np.ndarray:
     stack of shape (n, 4).  Returns (steps+1, 3) or (n, steps+1, 3)
     accordingly.  Raises ShapeError for any other shape of w, and
     DomainError unless steps is an integer of at least 1.  One matrix
-    exponential per generator plus a product recurrence along the grid,
-    so large sweeps stay cheap.
+    exponential per generator, then a product recurrence along the grid
+    written into a block buffer of bounded size (_ORBIT_BLOCK_BYTES).
     """
     is_vector = isinstance(w, OscVector)
     rows = np.asarray(astuple(w) if is_vector else w, dtype=float)
@@ -185,13 +188,18 @@ def orbit_grid(w, s_max: float, steps: int) -> np.ndarray:
     step_gens = algebra_matrix(OscVector(*(ds * rows.T)))
     step_mats = np.array([matrix_exp(m) for m in step_gens]).reshape(step_gens.shape)
 
+    # blocks of at least 2 steps, so no product writes the row it reads
     out = np.zeros((n, steps + 1, 3))
+    block = max(2, _ORBIT_BLOCK_BYTES // max(1, step_mats.nbytes))
+    buf = np.empty((min(block, steps), n, 4, 4))
     cur = np.broadcast_to(np.eye(4), (n, 4, 4)).copy()
-    for k in range(1, steps + 1):
-        cur = cur @ step_mats
-        out[:, k, 0] = cur[:, 1, 3]
-        out[:, k, 1] = cur[:, 2, 3]
-        out[:, k, 2] = 0.5 * cur[:, 0, 3]
+    for k0 in range(1, steps + 1, block):
+        m = min(block, steps + 1 - k0)
+        for i in range(m):
+            cur = np.matmul(cur, step_mats, out=buf[i])
+        out[:, k0:k0 + m, 0] = buf[:m, :, 1, 3].T
+        out[:, k0:k0 + m, 1] = buf[:m, :, 2, 3].T
+        out[:, k0:k0 + m, 2] = 0.5 * buf[:m, :, 0, 3].T
     return out[0] if single else out
 
 
@@ -202,7 +210,9 @@ def orbit_point(v: OscVector, s: float) -> NilPoint:
     Raises DomainError when the point is not finite (a non-finite or
     overflowing s v).
     """
-    row = orbit_grid(v, s, 1)[-1]
+    # an overflow shows up as a non-finite row, rejected below
+    with np.errstate(all="ignore"):
+        row = orbit_grid(v, s, 1)[-1]
     if not np.all(np.isfinite(row)):
         raise DomainError("the orbit point is not finite; the generator or s is too large")
     return NilPoint(*row.tolist())

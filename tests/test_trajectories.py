@@ -12,6 +12,7 @@ from nilmag import (
     NilPoint,
     OscVector,
     ShapeError,
+    algebra_matrix,
     curve_acceleration,
     frame_to_coord,
     homogeneous_generator,
@@ -20,6 +21,7 @@ from nilmag import (
     magnetic_point,
     magnetic_point_from,
     magnetic_velocity,
+    matrix_exp,
     orbit_grid,
     orbit_point,
     trajectories,
@@ -281,7 +283,7 @@ class TestOrbitPoint:
         ],
     )
     def test_non_finite_point_is_a_domain_error(self, w, s):
-        with np.errstate(all="ignore"), pytest.raises(DomainError):
+        with pytest.raises(DomainError):
             orbit_point(w, s)
 
     @pytest.mark.parametrize(
@@ -324,9 +326,11 @@ class TestGrids:
     @pytest.mark.parametrize("q", [-0.64, 1.3, -2.1])
     def test_magnetic_grid_matches_mpmath(self, q):
         """Rotation angles u = (q + c) s of none (q = -c), either sign,
-        either side of the K3 Taylor switch at |u| = 0.5, and many turns."""
+        either side of the K3 Taylor switch at |u| = 0.5, and many turns,
+        out to |u| = 1e4 where K3's cube is largest."""
         a, b, c = 0.48, -0.6, 0.64
-        u = np.array([0.0, 1e-9, 0.25, 0.5 - 1e-9, 0.5 + 1e-9, 0.75, 30.0, 117.5, 400.0])
+        u = np.array([0.0, 1e-9, 0.25, 0.5 - 1e-9, 0.5 + 1e-9, 0.75, 30.0, 117.5, 400.0,
+                      1234.5, 5e3, 1e4])
         s = u if q == -c else u / (q + c)
         if q != -c:
             assert np.array_equal(np.abs((q + c) * s) < 0.5, u < 0.5)
@@ -432,6 +436,40 @@ class TestGrids:
         assert grid.shape == (2, 21, 3)
         assert grid[0] == pytest.approx(orbit_grid(w1, 2.0, 20), abs=1e-14)
         assert grid[1] == pytest.approx(orbit_grid(w2, 2.0, 20), abs=1e-14)
+
+
+def stepwise_orbit_grid(w, s_max, steps):
+    """orbit_grid's recurrence one product and three column writes per
+    grid step, with no block buffer."""
+    rows = np.asarray(w, dtype=float).reshape(-1, 4)
+    step_gens = algebra_matrix(OscVector(*(s_max / steps * rows.T)))
+    step_mats = np.array([matrix_exp(m) for m in step_gens]).reshape(step_gens.shape)
+    out = np.zeros((len(rows), steps + 1, 3))
+    cur = np.broadcast_to(np.eye(4), step_mats.shape).copy()
+    for k in range(1, steps + 1):
+        cur = cur @ step_mats
+        out[:, k, 0] = cur[:, 1, 3]
+        out[:, k, 1] = cur[:, 2, 3]
+        out[:, k, 2] = 0.5 * cur[:, 0, 3]
+    return out
+
+
+class TestBlockedOrbitGrid:
+    # grid steps per block for one generator: one 4x4 matrix is 128 bytes
+    BLOCK = trajectories._ORBIT_BLOCK_BYTES // 128
+
+    @pytest.mark.parametrize(
+        "n, steps",
+        [
+            (1, 2 * BLOCK + 37),  # two full blocks and a partial one
+            (1, 1),
+            (BLOCK // 2 + 1, 3),  # blocks at their minimum of 2 steps
+        ],
+    )
+    def test_matches_stepwise_recurrence_exactly(self, n, steps):
+        rng = np.random.default_rng([n, steps])
+        w = rng.uniform(-2.0, 2.0, (n, 4))
+        assert np.array_equal(orbit_grid(w, 7.3, steps), stepwise_orbit_grid(w, 7.3, steps))
 
 
 class TestInitialData:
