@@ -103,7 +103,7 @@ def check_homogeneity(
 
     s_grid = np.linspace(0.0, 10.0, 101)
     closed = magnetic_grid(a[:, None], b[:, None], c[:, None], q[:, None], s_grid)
-    gens = np.column_stack(astuple(homogeneous_generator(a, b, c, q, j_strength)))
+    gens = np.column_stack(astuple(homogeneous_generator(a, b, c, q * j_strength)))
     orbits = orbit_grid(gens, 10.0, 100)
 
     err = np.max(np.linalg.norm(closed - orbits, axis=-1))

@@ -103,10 +103,9 @@ def homogeneous_generator(
 
     The rotation coefficient is c + q: c from the contact part of the
     velocity, q from the magnetic coupling.  j_strength rescales the
-    coupling for the fault-injection self-tests; leave it at 1.  It stays
-    a parameter because the benchmark (perfbench/workloads.py) passes it
-    as the fifth positional argument; the integrator takes the scaled
-    charge instead.
+    coupling; leave it at 1.  Only the benchmark (perfbench/workloads.py)
+    still passes it, as the fifth positional argument; the library's own
+    fault injection scales the charge q instead.
     """
     return OscVector(a, b, c, c + q * j_strength)
 
@@ -125,15 +124,13 @@ def _k2_arr(u: np.ndarray) -> np.ndarray:
 
 
 def _k3_arr(u: np.ndarray, sin_u: np.ndarray) -> np.ndarray:
-    out = np.empty_like(u)
     small = np.abs(u) < 0.5
+    out = np.divide(u - sin_u, u * u * u, out=np.empty_like(u), where=~small)
     u2 = u[small] ** 2
     acc = np.zeros_like(u2)
     for coef in reversed(_K3_COEFFS):
         acc = acc * u2 + coef
     out[small] = acc
-    ub = u[~small]
-    out[~small] = (ub - sin_u[~small]) / (ub * ub * ub)
     return out
 
 

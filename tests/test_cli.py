@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -530,10 +531,14 @@ class TestGolden:
 
 class TestInvocation:
     def test_module_entry(self):
+        # the child imports nilmag from the same src directory as this test
+        src = str(Path(cli_reporting.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "nilmag.cli_reporting", "emit", "--steps", "1"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("s,x,y,z,")

@@ -230,6 +230,19 @@ class TestCurveAcceleration:
         assert got.b == 0.0
         assert got.c == 0.0
 
+    def test_frame_derivative_plus_connection(self):
+        """The covariant acceleration is the derivative of the frame
+        components plus connection(v, v), to the last bit."""
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            x, y, dx, dy, dz, ddx, ddy, ddz = rng.uniform(-3.0, 3.0, 8)
+            p = NilPoint(x, y, 0.0)
+            v = coord_to_frame(p, CoordVector(dx, dy, dz))
+            deriv = fvec(coord_to_frame(p, CoordVector(ddx, ddy, ddz)))
+            want = deriv + fvec(connection(v, v))
+            got = curve_acceleration(x, y, dx, dy, dz, ddx, ddy, ddz)
+            assert np.array_equal(fvec(got), want)
+
 
 class TestUTensor:
     def test_nil3_table(self):

@@ -472,6 +472,63 @@ class TestBlockedOrbitGrid:
         assert np.array_equal(orbit_grid(w, 7.3, steps), stepwise_orbit_grid(w, 7.3, steps))
 
 
+def gather_scatter_k3(u, sin_u):
+    """K3 with both branches gathered from u and scattered back: the
+    Taylor series at |u| < 0.5, (u - sin u) / u^3 elsewhere."""
+    out = np.empty_like(u)
+    small = np.abs(u) < 0.5
+    u2 = u[small] ** 2
+    acc = np.zeros_like(u2)
+    for coef in reversed(trajectories._K3_COEFFS):
+        acc = acc * u2 + coef
+    out[small] = acc
+    ub = u[~small]
+    out[~small] = (ub - sin_u[~small]) / (ub * ub * ub)
+    return out
+
+
+class TestK3MatchesGatherScatter:
+    @staticmethod
+    def assert_same(u):
+        u = np.asarray(u, dtype=float)
+        sin_u = np.sin(u)
+        got = trajectories._k3_arr(u, sin_u)
+        want = gather_scatter_k3(u, sin_u)
+        assert got.shape == u.shape
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize(
+        "shape, bound",
+        [
+            ((100, 200), 20.0),  # one block of the ODE sweep
+            ((1000, 101), 30.0),
+            ((10001,), 0.5),  # every point takes the Taylor branch
+        ],
+    )
+    def test_random_grid(self, shape, bound):
+        rng = np.random.default_rng(list(shape))
+        u = rng.uniform(-bound, bound, shape)
+        u[rng.random(shape) < 0.01] = 0.0
+        self.assert_same(u)
+
+    @pytest.mark.parametrize("u", [0.0, 0.3, -0.3, 0.5, 0.7, -2.5])
+    def test_zero_dimensional(self, u):
+        self.assert_same(u)
+
+    def test_empty(self):
+        self.assert_same(np.empty(0))
+
+    def test_edge_values(self):
+        self.assert_same(
+            [0.0, -0.0, 0.5, -0.5, np.nextafter(0.5, 0.0), 1e-300, 5e-324, np.nan]
+        )
+
+    def test_overflow_and_infinity(self):
+        # these warn in both forms: u^3 overflows, sin(inf) is invalid
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.assert_same([6e102, 1e103, -1e103, np.inf, -np.inf, 0.25])
+
+
 class TestInitialData:
     def test_holds_fields(self):
         init = InitialData(NilPoint(1.0, 0.0, 0.0), FrameVector(0.0, 1.0, 0.0))
