@@ -479,13 +479,53 @@ def _validate(args: argparse.Namespace) -> None:
         args.a, args.b, args.c = args.a / norm, args.b / norm, args.c / norm
 
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser whose float flags take any negative float.
+
+    argparse reads a value that starts with '-' as an option unless it
+    looks like -1 or -.5, so `--q -8e-1` or `--w1 -inf` would fail with
+    "expected one argument".  Such a value after one of this parser's
+    float flags is joined to it as `--q=-8e-1`, which argparse reads as
+    the flag's value; -inf and nan still reach _validate.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self.float_flags = set()
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.type is float:
+            self.float_flags.update(action.option_strings)
+        return action
+
+    def parse_known_args(self, args, namespace=None):
+        # the parent parser hands a subcommand its argument list
+        joined = []
+        for arg in args:
+            negative = arg.startswith("-") and _is_float(arg)
+            if negative and joined and joined[-1] in self.float_flags:
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nilmag",
         description="Magnetic trajectories on the Heisenberg group: "
         "closed forms, group orbits, and a verification suite.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     # the run_* names are looked up here, at call time, so a wrapper
     # installed on the module (the benchmark's tracer) is the one called
 

@@ -36,9 +36,6 @@ from .lie_core import NilPoint, OscVector, algebra_matrix, matrix_exp, nil_multi
 # Taylor coefficients of K3, (-1)^k / (2k+3)!; enough terms for |u| < 0.5
 _K3_COEFFS = [(-1.0) ** k / math.factorial(2 * k + 3) for k in range(8)]
 
-# bytes of orbit_grid's block buffer of orbit matrices, which bounds its memory
-_ORBIT_BLOCK_BYTES = 1 << 20
-
 
 def _require_unit(a, b, c):
     # the one unit-speed test; written so that a NaN component fails it
@@ -166,9 +163,13 @@ def orbit_grid(w, s_max: float, steps: int) -> np.ndarray:
     w is one generator (OscVector of scalars or length-4 array) or a
     stack of shape (n, 4).  Returns (steps+1, 3) or (n, steps+1, 3)
     accordingly.  Raises ShapeError for any other shape of w, and
-    DomainError unless steps is an integer of at least 1.  One matrix
-    exponential per generator, then a product recurrence along the grid
-    written into a block buffer of bounded size (_ORBIT_BLOCK_BYTES).
+    DomainError unless steps is an integer of at least 1.
+
+    One matrix exponential M = exp(ds W) per generator.  Only the last
+    column M^k e4 of exp(k ds W) is read, so the grid is filled by
+    doubling: with P = M^m (by squaring), one batched product P @ cols
+    writes the columns m+1 .. 2m of an (n, 4, steps+1) work array from
+    its columns 1 .. m, about log2(steps) products in all.
     """
     is_vector = isinstance(w, OscVector)
     rows = np.asarray(astuple(w) if is_vector else w, dtype=float)
@@ -185,18 +186,21 @@ def orbit_grid(w, s_max: float, steps: int) -> np.ndarray:
     step_gens = algebra_matrix(OscVector(*(ds * rows.T)))
     step_mats = np.array([matrix_exp(m) for m in step_gens]).reshape(step_gens.shape)
 
-    # blocks of at least 2 steps, so no product writes the row it reads
-    out = np.zeros((n, steps + 1, 3))
-    block = max(2, _ORBIT_BLOCK_BYTES // max(1, step_mats.nbytes))
-    buf = np.empty((min(block, steps), n, 4, 4))
-    cur = np.broadcast_to(np.eye(4), (n, 4, 4)).copy()
-    for k0 in range(1, steps + 1, block):
-        m = min(block, steps + 1 - k0)
-        for i in range(m):
-            cur = np.matmul(cur, step_mats, out=buf[i])
-        out[:, k0:k0 + m, 0] = buf[:m, :, 1, 3].T
-        out[:, k0:k0 + m, 1] = buf[:m, :, 2, 3].T
-        out[:, k0:k0 + m, 2] = 0.5 * buf[:m, :, 0, 3].T
+    # cols[..., k] = M^k e4; the columns written never overlap those read
+    cols = np.empty((n, 4, steps + 1))
+    cols[:, :, 0] = (0.0, 0.0, 0.0, 1.0)
+    cols[:, :, 1] = step_mats[:, :, 3]
+    power, m = step_mats, 1
+    while m < steps:
+        k = min(m, steps - m)
+        np.matmul(power, cols[:, :, 1:k + 1], out=cols[:, :, m + 1:m + k + 1])
+        m += k
+        if m < steps:
+            power = power @ power
+    out = np.empty((n, steps + 1, 3))
+    out[..., 0] = cols[:, 1]
+    out[..., 1] = cols[:, 2]
+    out[..., 2] = 0.5 * cols[:, 0]
     return out[0] if single else out
 
 

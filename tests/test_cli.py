@@ -507,6 +507,67 @@ class TestVerify:
         assert out == "" and err.startswith("error:") and "seed" in err
 
 
+# every float flag of each command, after the flags the command requires
+FLOAT_FLAGS = [
+    *(("emit", flag) for flag in ("a", "b", "c", "q", "x0", "y0", "z0", "h", "s-max")),
+    *(("orbit", flag) for flag in ("w1", "w2", "w3", "w4", "s-max")),
+    *(("criterion", flag) for flag in ("w1", "w2", "w3", "w4")),
+    ("verify", "fault-j"),
+]
+REQUIRED = {"orbit": ("--w1", "1", "--w2", "0", "--w3", "1", "--w4", "1")}
+REQUIRED["criterion"] = REQUIRED["orbit"]
+
+
+class TestNegativeFloatValues:
+    """A negative value in exponent notation, or -inf, is read as the
+    flag's value and not as an unknown option."""
+
+    @pytest.mark.parametrize("text", ["-8e-1", "-1e-05", "-inf"])
+    @pytest.mark.parametrize("command, flag", FLOAT_FLAGS)
+    def test_every_float_flag_takes_the_value(self, command, flag, text):
+        args = _build_parser().parse_args([command, *REQUIRED.get(command, ()), f"--{flag}", text])
+        assert getattr(args, flag.replace("-", "_")) == float(text)
+
+    def test_emit_writes_the_bytes_of_the_joined_form(self, capsys):
+        flags = ("emit", "--a", "0.6", "--b", "0", "--c", "0.8", "--steps", "20")
+        code, spaced, _ = run_cli(capsys, *flags, "--q", "-8e-1")
+        assert code == 0
+        assert run_cli(capsys, *flags, "--q=-8e-1") == (0, spaced, "")
+
+    def test_orbit_takes_a_repr_value(self, capsys):
+        code, out, _ = run_cli(capsys, "orbit", "--w1", repr(-1e-05), "--w2", "0",
+                               "--w3", "1", "--w4", "1")
+        assert code == 0 and out.startswith("s,x,y,z\n")
+
+    def test_verify_runs_with_the_fault(self, capsys, monkeypatch):
+        # the suite itself is test_criterion_9_fault_sensitivity's; here
+        # only the value reaching it and the exit code of a failed check
+        runs = []
+
+        def failing_checks(seed, j_strength):
+            runs.append((seed, j_strength))
+            return [_result("homogeneity_magnetic", 1.0, 1e-9)]
+
+        monkeypatch.setattr(cli_reporting, "run_checks", failing_checks)
+        code, out, _ = run_cli(capsys, "verify", "--fault-j", "-1e-3")
+        assert (code, runs) == (1, [(0, 1.0 - 1e-3)])
+        assert json.loads(out)["pass"] is False
+
+    @pytest.mark.parametrize(
+        "command, flag", [("emit", "q"), ("orbit", "w1"), ("criterion", "w4")]
+    )
+    def test_minus_infinity_is_refused_by_validation(self, capsys, command, flag):
+        code, out, err = run_cli(capsys, command, *REQUIRED.get(command, ()), f"--{flag}", "-inf")
+        assert code == 2
+        assert out == "" and err == f"error: --{flag} must be finite\n"
+
+    def test_other_option_like_values_still_fail(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["emit", "--q", "-x"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
+
 class TestGolden:
     """Output bytes against the files in tests/golden.
 

@@ -405,6 +405,21 @@ class TestGrids:
         for w, orbit in zip(gens, grid):
             assert orbit[-1] == pytest.approx(pvec(orbit_point(OscVector(*w), 5.0)), abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    def test_orbit_grid_takes_one_matrix_exp_per_generator(self, monkeypatch, n):
+        # the benchmark's sweep self-test pins lie_core.matrix_exp.calls to
+        # one per generator; a batched exponential would change that count
+        calls = []
+        exp = trajectories.matrix_exp
+
+        def counting(m):
+            calls.append(np.shape(m))
+            return exp(m)
+
+        monkeypatch.setattr(trajectories, "matrix_exp", counting)
+        orbit_grid(np.random.default_rng(n).uniform(-2.0, 2.0, (n, 4)), 5.0, 9)
+        assert calls == [(4, 4)] * n
+
     @pytest.mark.parametrize("steps", [0, -1])
     def test_orbit_grid_rejects_fewer_than_one_step(self, steps):
         with pytest.raises(DomainError):
@@ -439,8 +454,9 @@ class TestGrids:
 
 
 def stepwise_orbit_grid(w, s_max, steps):
-    """orbit_grid's recurrence one product and three column writes per
-    grid step, with no block buffer."""
+    """The orbit recurrence one 4x4 product per grid step, M^k = M^(k-1) M
+    with M = matrix_exp(algebra_matrix(ds W)): the reference loop that
+    orbit_grid's doubling replaces."""
     rows = np.asarray(w, dtype=float).reshape(-1, 4)
     step_gens = algebra_matrix(OscVector(*(s_max / steps * rows.T)))
     step_mats = np.array([matrix_exp(m) for m in step_gens]).reshape(step_gens.shape)
@@ -454,22 +470,67 @@ def stepwise_orbit_grid(w, s_max, steps):
     return out
 
 
-class TestBlockedOrbitGrid:
-    # grid steps per block for one generator: one 4x4 matrix is 128 bytes
-    BLOCK = trajectories._ORBIT_BLOCK_BYTES // 128
+def mp_orbit_point(step_gen, k):
+    """(x, y, z) read off a 50-digit mpmath expm of k times the float step
+    generator step_gen, the last column of exp(k ds W)."""
+    with mpmath.workdps(50):
+        e = mpmath.expm(k * mpmath.matrix(step_gen.tolist()))
+        return np.array([float(e[1, 3]), float(e[2, 3]), float(e[0, 3] / 2)])
 
-    @pytest.mark.parametrize(
-        "n, steps",
-        [
-            (1, 2 * BLOCK + 37),  # two full blocks and a partial one
-            (1, 1),
-            (BLOCK // 2 + 1, 3),  # blocks at their minimum of 2 steps
-        ],
-    )
-    def test_matches_stepwise_recurrence_exactly(self, n, steps):
-        rng = np.random.default_rng([n, steps])
-        w = rng.uniform(-2.0, 2.0, (n, 4))
-        assert np.array_equal(orbit_grid(w, 7.3, steps), stepwise_orbit_grid(w, 7.3, steps))
+
+class TestOrbitGridAccuracy:
+    """orbit_grid and the stepwise loop against mpmath, at sampled k.
+
+    Both are held to one bound, 64 k 2^-52 max(1, |exact|), |exact| the
+    largest coordinate of the exact point.  At k = 1 the error is
+    matrix_exp's own, which both share: up to about 30 units of 2^-52 for
+    the step generators here (1-norm near 20), measured at k = 1 .. 3 on
+    all 4097 generators of the stack below, of which the test samples
+    nine.  Every further product adds a few units, so the error grows
+    linearly in k for either evaluation order.
+    """
+
+    @staticmethod
+    def assert_accurate(w, s_max, steps, gens, ks):
+        w = np.asarray(w, dtype=float).reshape(-1, 4)
+        step_gens = algebra_matrix(OscVector(*(s_max / steps * w.T)))
+        grids = orbit_grid(w, s_max, steps), stepwise_orbit_grid(w, s_max, steps)
+        for i in gens:
+            for k in ks:
+                exact = mp_orbit_point(step_gens[i], k)
+                bound = 64 * max(k, 1) * 2.0 ** -52 * max(1.0, np.max(np.abs(exact)))
+                for grid in grids:
+                    assert np.max(np.abs(grid[i, k] - exact)) <= bound, (i, k)
+
+    def test_long_single_generator(self):
+        # k on both sides of the doublings at 2^10 and 2^13, and the end
+        ks = [0, 1, 2, 3, 1023, 1024, 1025, 8191, 8192, 8193, 16420, 16421]
+        w = np.random.default_rng(16421).uniform(-2.0, 2.0, 4)
+        self.assert_accurate(w, 7300.0, 16421, [0], ks)
+
+    def test_wide_stack_of_three_steps(self):
+        w = np.random.default_rng(4097).uniform(-2.0, 2.0, (4097, 4))
+        self.assert_accurate(w, 7.3, 3, range(0, 4097, 512), [1, 2, 3])
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4, 5, 7, 8, 9, 100])
+    def test_short_grids(self, steps):
+        w = np.random.default_rng(steps).uniform(-2.0, 2.0, (2, 4))
+        ks = range(steps + 1) if steps < 10 else [1, 2, 3, 16, 17, 33, 64, 65, 99, 100]
+        self.assert_accurate(w, 7.3, steps, [1], ks)
+
+    @pytest.mark.parametrize("steps", [1, 6])
+    def test_empty_stack(self, steps):
+        assert orbit_grid(np.zeros((0, 4)), 7.3, steps).shape == (0, steps + 1, 3)
+
+    def test_one_step_is_the_one_product_of_the_stepwise_loop(self):
+        # orbit_point's path: the bytes, so signed zeros count too
+        rng = np.random.default_rng(1)
+        w = rng.uniform(-2.0, 2.0, (100, 4))
+        w[rng.random(w.shape) < 0.3] = 0.0
+        w[rng.random(w.shape) < 0.1] *= -1.0
+        for s in (0.0, -0.0, 0.7, -2.5, 40.0):
+            got = orbit_grid(w, s, 1)
+            assert got.tobytes() == stepwise_orbit_grid(w, s, 1).tobytes()
 
 
 def gather_scatter_k3(u, sin_u):
