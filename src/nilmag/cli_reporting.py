@@ -19,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, astuple, dataclass
 from itertools import islice, product
 
 import numpy as np
@@ -264,13 +264,10 @@ def check_go_grid() -> CheckResult:
     The accepted set must be exactly the union of the two families
     w4 == w3 and w1 == w2 == 0; max_error counts mismatches.
     """
-    mismatches = 0
-    for w1, w2, w3, w4 in product((-2, -1, 0, 1, 2), repeat=4):
-        expected = (w4 == w3) or (w1 == 0 and w2 == 0)
-        got = go_criterion(OscVector(w1, w2, w3, w4), "nil3")
-        if got.is_pregeodesic != expected:
-            mismatches += 1
-    return _result("go_grid_classification", float(mismatches), 0.0)
+    w1, w2, w3, w4 = np.array(list(product((-2, -1, 0, 1, 2), repeat=4)), dtype=float).T
+    expected = (w4 == w3) | ((w1 == 0) & (w2 == 0))
+    got = go_criterion(OscVector(w1, w2, w3, w4), "nil3")
+    return _result("go_grid_classification", np.count_nonzero(got.is_pregeodesic != expected), 0.0)
 
 
 def check_group_identities(seed: int, n: int = 1000) -> list[CheckResult]:
@@ -283,11 +280,10 @@ def check_group_identities(seed: int, n: int = 1000) -> list[CheckResult]:
     g = osc_multiply(OscElement(x, y, z, 0.0), OscElement(0.0, 0.0, 0.0, t))
     sub_devs = (g.x - x, g.y - y, g.z - z, g.t - t)
 
-    # the matrix forms are built once on the draw arrays; matrix_exp takes
-    # one 4x4 matrix, so it alone maps over the instances
-    exp_t = [matrix_exp(m) for m in algebra_matrix(OscVector(x, y, z, 0.0))]
-    exp_r = [matrix_exp(m) for m in algebra_matrix(OscVector(0.0, 0.0, 0.0, t))]
-    fac_devs = np.matmul(exp_t, exp_r) - osc_to_matrix(OscElement(x, y, z, t))
+    # one matrix_exp per factor on the (n, 4, 4) stack of its matrix forms
+    exp_t = matrix_exp(algebra_matrix(OscVector(x, y, z, 0.0)))
+    exp_r = matrix_exp(algebra_matrix(OscVector(0.0, 0.0, 0.0, t)))
+    fac_devs = exp_t @ exp_r - osc_to_matrix(OscElement(x, y, z, t))
 
     xv = OscVector(*draws[:, 4:7].T, 0.0)
     yv = OscVector(*draws[:, 7:].T, 0.0)
@@ -438,18 +434,10 @@ def run_orbit(args: argparse.Namespace) -> str:
 def run_criterion(args: argparse.Namespace) -> str:
     res = go_criterion(_generator(args), args.decomposition)
     if args.format == "json":
-        obj = {
-            "is_pregeodesic": res.is_pregeodesic,
-            "k": res.k,
-            "family": res.family,
-        }
-        return json.dumps(obj, indent=2) + "\n"
-    lines = [
-        f"is_pregeodesic: {'true' if res.is_pregeodesic else 'false'}",
-        f"k: {float(res.k)!r}" if res.k is not None else "k: none",
-        f"family: {res.family if res.family is not None else 'none'}",
-    ]
-    return "\n".join(lines) + "\n"
+        return json.dumps(asdict(res), indent=2) + "\n"
+    # a header and one row; a missing k or family is an empty field
+    k = "" if res.k is None else repr(res.k)
+    return f"is_pregeodesic,k,family\n{str(res.is_pregeodesic).lower()},{k},{res.family or ''}\n"
 
 
 def _validate(args: argparse.Namespace) -> None:
@@ -561,7 +549,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=None, help="output file (default stdout)")
     for cmd in (emit, orbit, crit):
         cmd.add_argument("--format", choices=("csv", "json"), default="csv",
-                         help="csv (criterion writes key: value lines) or json")
+                         help="output format: csv (a header and rows) or json")
 
     verify = sub.add_parser("verify", help="run the verification suite")
     verify.add_argument("--seed", type=int, default=0, help="sweep seed (PCG64)")

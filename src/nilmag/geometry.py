@@ -158,7 +158,9 @@ def curve_acceleration(
 
 def _coefficients(basis: Sequence[OscVector], *vs: OscVector) -> np.ndarray:
     """Coordinates of each v on basis + [E4], the rotation axis completing
-    it, as column j for vs[j]: one solve for all of them.
+    it, as column j for vs[j]: one solve for all of them.  Fields may be
+    arrays of one broadcast shape S; the result then has shape
+    (4, len(vs)) + S.
 
     The last row is the component along E4; dropping it projects onto
     the span of the basis along the reductive complement.  Raises
@@ -166,11 +168,16 @@ def _coefficients(basis: Sequence[OscVector], *vs: OscVector) -> np.ndarray:
     """
     cols = [[b.e1, b.e2, b.e3, b.e4] for b in basis]
     cols.append([0.0, 0.0, 0.0, 1.0])
-    rhs = [[v.e1, v.e2, v.e3, v.e4] for v in vs]
+    fields = [f for v in vs for f in (v.e1, v.e2, v.e3, v.e4)]
+    shape = np.broadcast(*fields).shape
+    rhs = np.empty((len(vs), 4) + shape)
+    for i, f in enumerate(fields):
+        rhs[divmod(i, 4)] = f
     try:
-        return np.linalg.solve(np.array(cols).T, np.array(rhs).T)
+        sol = np.linalg.solve(np.array(cols).T, rhs.swapaxes(0, 1).reshape(4, -1))
     except np.linalg.LinAlgError:
         raise DomainError("basis + complement is not a basis of the algebra") from None
+    return sol.reshape((4, len(vs)) + shape)
 
 
 def u_tensor(basis: Sequence[OscVector], x: OscVector, y: OscVector) -> OscVector:
@@ -211,13 +218,19 @@ def go_criterion(w: OscVector, decomposition: str = "nil3") -> CriterionResult:
     directions, constant orbit) is a pre-geodesic with k = 0.
     decomposition names the summand, a key of DECOMPOSITIONS.
 
+    Fields of w may be arrays of one broadcast shape, tested with one
+    solve: is_pregeodesic is then a boolean array, k a float array with
+    NaN and family an object array with None where w is rejected.  Scalar
+    fields give a bool, a float or None, and a name or None.
+
     Raises DomainError when a component of w, or its squared norm, is not
     finite, or when decomposition is not a key of DECOMPOSITIONS.
     """
+    comps = np.array(np.broadcast_arrays(w.e1, w.e2, w.e3, w.e4), dtype=float)
     # products, not **, so that an overflow gives inf instead of raising
-    norm2 = w.e1 * w.e1 + w.e2 * w.e2 + w.e3 * w.e3 + w.e4 * w.e4
-    if not math.isfinite(norm2):
-        raise DomainError("generator components and their squared norm must be finite")
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite((comps * comps).sum(axis=0))):
+            raise DomainError("generator components and their squared norm must be finite")
     try:
         basis = DECOMPOSITIONS[decomposition]
     except (KeyError, TypeError):  # TypeError: an unhashable name
@@ -226,19 +239,25 @@ def go_criterion(w: OscVector, decomposition: str = "nil3") -> CriterionResult:
     # the test runs on u = w / 2^e with 1/2 <= |u| < 1: a power of two
     # scales exactly, so k keeps every bit, and no product of a tiny w
     # underflows
-    norm_u, e = math.frexp(math.hypot(w.e1, w.e2, w.e3, w.e4))
-    u = OscVector(*(math.ldexp(c, -e) for c in (w.e1, w.e2, w.e3, w.e4)))
-    um, *bu = _coefficients(basis, u, *(bracket(u, v) for v in basis))[:-1].T
-    lhs = np.array([c @ um for c in bu])
+    # math.hypot per generator: numpy has no 4-argument hypot that rounds alike
+    norm_u, e = np.frexp(np.array(np.frompyfunc(math.hypot, 4, 1)(*comps), dtype=float))
+    u = OscVector(*np.ldexp(comps, -e))
+    coef = _coefficients(basis, u, *(bracket(u, v) for v in basis))[:-1]
+    coef = np.moveaxis(coef, (0, 1), (-1, -2))
+    um, bu = coef[..., 0, :], coef[..., 1:, :]  # shapes S + (3,) and S + (3, 3)
+    # every dot product is a (1, 3) @ (3, 1) matmul, numpy's 1-D dot
+    lhs = (bu[..., None, :] @ um[..., None, :, None])[..., 0, 0]
     rhs = um  # <u_m, V_i> for an orthonormal basis
     tol = 1e-10
 
-    denom = rhs @ rhs
-    k = 0.0 if denom == 0.0 else (lhs @ rhs) / denom
-    if not (np.max(np.abs(lhs - k * rhs)) <= tol * norm_u * norm_u):  # a NaN rejects
-        return CriterionResult(False, None)
-    if max(abs(u.e1), abs(u.e2)) <= abs(u.e4 - u.e3):
-        family = "W4*E4" if abs(u.e3) <= tol * norm_u else "W3*E3+W4*E4"
-    else:
-        family = "W1*E1+W2*E2+W3*(E3+E4)"
-    return CriterionResult(True, math.ldexp(k, e), family)
+    denom = (rhs[..., None, :] @ rhs[..., None])[..., 0, 0]
+    k = (lhs[..., None, :] @ rhs[..., None])[..., 0, 0]
+    k = np.divide(k, denom, out=np.zeros_like(k), where=denom != 0.0)
+    ok = np.abs(lhs - k[..., None] * rhs).max(axis=-1) <= tol * norm_u * norm_u  # a NaN rejects
+    rotation = np.where(np.abs(u.e3) <= tol * norm_u, 1, 2)  # W4*E4 or W3*E3+W4*E4
+    pick = ok * np.where(np.maximum(np.abs(u.e1), np.abs(u.e2)) <= np.abs(u.e4 - u.e3), rotation, 3)
+    family = np.array([None, "W4*E4", "W3*E3+W4*E4", "W1*E1+W2*E2+W3*(E3+E4)"])[pick]
+    k = np.where(ok, np.ldexp(k, e), np.nan)
+    if ok.ndim:
+        return CriterionResult(ok, k, family)
+    return CriterionResult(True, float(k), family) if ok else CriterionResult(False)

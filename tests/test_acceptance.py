@@ -8,6 +8,7 @@ pass/fail line for each.  These call the same check functions the
 import json
 import math
 
+import numpy as np
 import pytest
 
 from nilmag import FrameVector, OscElement, OscVector, cli_reporting
@@ -92,6 +93,32 @@ def test_criterion_9_fault_sensitivity(capsys):
     passed = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
     assert passed["homogeneity_magnetic"] is False
     assert passed["ode_vs_closed_form"] is False
+
+
+def count_calls(monkeypatch, name):
+    """Record the shape of the first argument of every call of
+    cli_reporting's name."""
+    calls = []
+    real = getattr(cli_reporting, name)
+
+    def counting(arg, *rest):
+        calls.append(np.shape(arg.e1) if isinstance(arg, OscVector) else np.shape(arg))
+        return real(arg, *rest)
+
+    monkeypatch.setattr(cli_reporting, name, counting)
+    return calls
+
+
+def test_group_identities_take_one_matrix_exp_per_factor(monkeypatch):
+    calls = count_calls(monkeypatch, "matrix_exp")
+    assert all(r.passed for r in check_group_identities(SEED))
+    assert calls == [(1000, 4, 4)] * 2
+
+
+def test_go_grid_takes_one_criterion_call(monkeypatch):
+    calls = count_calls(monkeypatch, "go_criterion")
+    assert check_go_grid().passed
+    assert calls == [(625,)]
 
 
 def test_wrong_generator_coefficient_fails_homogeneity(monkeypatch):

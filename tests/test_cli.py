@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -261,6 +262,12 @@ class TestEmit:
         assert out == "" and err.startswith("error:") and "2**63" in err
 
 
+def criterion_row(text):
+    """The one row of criterion's CSV, keyed by its header."""
+    (row,) = csv.DictReader(io.StringIO(text))
+    return row
+
+
 class TestCriterion:
     @staticmethod
     def w_args(w1, w2, w3, w4):
@@ -269,17 +276,23 @@ class TestCriterion:
     def test_vertical_generator(self, capsys):
         code, out, _ = run_cli(capsys, "criterion", *self.w_args(0, 0, 1, 1))
         assert code == 0
-        assert out == "is_pregeodesic: true\nk: 0.0\nfamily: W3*E3+W4*E4\n"
+        assert out == "is_pregeodesic,k,family\ntrue,0.0,W3*E3+W4*E4\n"
 
     def test_rotation_axis(self, capsys):
         _, out, _ = run_cli(capsys, "criterion", *self.w_args(0, 0, 0, 1))
-        assert "is_pregeodesic: true" in out
-        assert "family: W4*E4" in out
+        assert criterion_row(out) == {"is_pregeodesic": "true", "k": "0.0", "family": "W4*E4"}
 
     def test_generic_direction(self, capsys):
         code, out, _ = run_cli(capsys, "criterion", *self.w_args(1, 0, 1, 0))
         assert code == 0
-        assert out == "is_pregeodesic: false\nk: none\nfamily: none\n"
+        assert out == "is_pregeodesic,k,family\nfalse,,\n"
+
+    def test_csv_writes_k_by_repr(self, capsys):
+        w = (0.3, -0.7, 0.1, 0.1)
+        want = cli_reporting.go_criterion(OscVector(*w))
+        assert want.is_pregeodesic
+        _, out, _ = run_cli(capsys, "criterion", *self.w_args(*map(repr, w)))
+        assert criterion_row(out)["k"] == repr(want.k)
 
     def test_json_output(self, capsys):
         _, out, _ = run_cli(
@@ -296,7 +309,7 @@ class TestCriterion:
         _, out, _ = run_cli(
             capsys, "criterion", *self.w_args(1, 0, 1, 1), "--decomposition", "m"
         )
-        assert "is_pregeodesic: true" in out
+        assert criterion_row(out)["is_pregeodesic"] == "true"
 
     @pytest.mark.parametrize("w1", [1959, 1e5])
     def test_m_decomposition_large_component(self, capsys, w1):
@@ -304,7 +317,7 @@ class TestCriterion:
             capsys, "criterion", *self.w_args(w1, 0, 1, 1), "--decomposition", "m"
         )
         assert code == 0
-        assert out == "is_pregeodesic: true\nk: 0.0\nfamily: W1*E1+W2*E2+W3*(E3+E4)\n"
+        assert out == "is_pregeodesic,k,family\ntrue,0.0,W1*E1+W2*E2+W3*(E3+E4)\n"
 
     @pytest.mark.parametrize("w", [(1e11, 0, 1, 3), (1e-6, 0, 1e-6, 0)])
     @pytest.mark.parametrize("decomposition", ["nil3", "m"])
@@ -313,7 +326,8 @@ class TestCriterion:
             capsys, "criterion", *self.w_args(*w), "--decomposition", decomposition
         )
         assert code == 0
-        assert ("is_pregeodesic: true" in out) == ("family: none" not in out)
+        row = criterion_row(out)
+        assert (row["is_pregeodesic"] == "true") == (row["family"] != "")
 
     def test_missing_component_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -613,4 +627,4 @@ class TestInvocation:
             text=True,
         )
         assert proc.returncode == 0
-        assert "family: W4*E4" in proc.stdout
+        assert criterion_row(proc.stdout)["family"] == "W4*E4"

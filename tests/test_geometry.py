@@ -316,6 +316,10 @@ def count_solves(monkeypatch):
     return calls
 
 
+# every generator of verify's go_grid check, {-2..2}^4, one per row
+GO_GRID = np.array(list(itertools.product((-2, -1, 0, 1, 2), repeat=4)), dtype=float)
+
+
 class TestGoCriterion:
     def test_vertical_axis_is_pregeodesic(self):
         res = go_criterion(OscVector(0.0, 0.0, 1.0, 1.0))
@@ -384,12 +388,49 @@ class TestGoCriterion:
     @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e3, 1e6, 1e11])
     @pytest.mark.parametrize("decomposition", ["nil3", "m"])
     def test_answer_does_not_depend_on_scale(self, scale, decomposition):
-        # every generator of verify's go_grid check, {-2..2}^4
-        for w in itertools.product((-2, -1, 0, 1, 2), repeat=4):
-            want = go_criterion(OscVector(*w), decomposition)
-            got = go_criterion(OscVector(*(scale * c for c in w)), decomposition)
-            assert (got.is_pregeodesic, got.family) == (want.is_pregeodesic, want.family)
-            assert got.is_pregeodesic == (got.family is not None)
+        # array calls, which test_array_call_matches_the_scalar_calls ties
+        # to the scalar ones
+        want = go_criterion(OscVector(*GO_GRID.T), decomposition)
+        got = go_criterion(OscVector(*(scale * GO_GRID.T)), decomposition)
+        assert got.is_pregeodesic.tolist() == want.is_pregeodesic.tolist()
+        assert got.family.tolist() == want.family.tolist()
+        assert got.is_pregeodesic.tolist() == [f is not None for f in got.family]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-3, 1e3, 1e6, 1e11])
+    @pytest.mark.parametrize("decomposition", ["nil3", "m"])
+    def test_array_call_matches_the_scalar_calls(self, scale, decomposition):
+        grid = scale * GO_GRID
+        got = go_criterion(OscVector(*grid.T), decomposition)
+        assert got.is_pregeodesic.shape == got.k.shape == got.family.shape == (625,)
+        for w, ok, k, family in zip(grid, got.is_pregeodesic, got.k, got.family):
+            want = go_criterion(OscVector(*w.tolist()), decomposition)
+            assert type(want.is_pregeodesic) is bool
+            assert (ok, family) == (want.is_pregeodesic, want.family)
+            if want.k is None:
+                assert math.isnan(k)
+            else:
+                assert type(want.k) is float
+                assert np.float64(want.k).tobytes() == k.tobytes()  # signed zeros too
+
+    def test_array_call_keeps_the_broadcast_shape(self):
+        w3 = np.array([[0.0], [1.0]])
+        got = go_criterion(OscVector(np.array([0.0, 1.0, 2.0]), 0.0, w3, 1.0))
+        assert got.is_pregeodesic.shape == (2, 3)
+        assert got.is_pregeodesic.tolist() == [[True, False, False], [True, True, True]]
+        assert got.family[1, 2] == "W1*E1+W2*E2+W3*(E3+E4)"
+
+    def test_array_call_makes_one_solve(self, monkeypatch):
+        calls = count_solves(monkeypatch)
+        go_criterion(OscVector(np.ones(5), 0.0, np.arange(5.0), 1.0), "m")
+        # w and its brackets with the 3 basis vectors, for all 5 generators
+        assert calls == [(4, 20)]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
+    def test_array_call_rejects_one_non_finite_component(self, bad):
+        w3 = np.ones(4)
+        w3[2] = bad
+        with pytest.raises(DomainError):
+            go_criterion(OscVector(0.0, 0.0, w3, 1.0))
 
     @pytest.mark.parametrize("scale", [1e3, 1e4, 1e5])
     def test_m_decomposition_accepts_large_generators(self, scale):

@@ -244,6 +244,32 @@ def _with_norm1(seed, norm1):
 # the generator of unit velocity (0.48, -0.6, 0.64) with charge 1.9
 ORBIT_W = OscVector(0.48, -0.6, 0.64, 2.54)
 
+ORACLE_CASES = [
+    pytest.param(_uniform(0, 0.5), 1e-14, id="0-0.5-1e-14"),
+    pytest.param(_uniform(1, 4.0), 1e-13, id="1-4.0-1e-13"),
+    pytest.param(_uniform(2, 10.0), 1e-12, id="2-10.0-1e-12"),
+    pytest.param(_uniform(3, 0.01), 1e-15, id="tiny-0.01"),
+    # 1-norm just below and just above the scaling threshold 0.5
+    pytest.param(_with_norm1(4, 0.5 * (1.0 - 1e-9)), 1e-14, id="norm1-below-0.5"),
+    pytest.param(_with_norm1(5, 0.5 * (1.0 + 1e-9)), 1e-14, id="norm1-above-0.5"),
+    pytest.param(_uniform(6, 30.0), 1e-12, id="30-many-squarings"),
+    # step generators of the orbit grids: verify uses ds = 0.1, the
+    # benchmark's sweep spans 0.5 .. 60 over 100 steps
+    *(
+        pytest.param(algebra_matrix(OscVector(*(ds * vec(ORBIT_W)))), 1e-14, id=f"ds-{ds}")
+        for ds in (0.005, 0.05, 0.1, 0.2, 0.6)
+    ),
+]
+
+
+def oracle_error(m, got):
+    """Max error of got against 50-digit mpmath, over max(1, max |exp m|)."""
+    with mpmath.workdps(50):
+        ref = mpmath.expm(mpmath.matrix(m.tolist()))
+        ref = np.array(ref.tolist(), dtype=float)
+    denom = max(1.0, float(np.max(np.abs(ref))))
+    return float(np.max(np.abs(got - ref))) / denom
+
 
 class TestMatrixExp:
     def test_zero_matrix(self):
@@ -260,32 +286,52 @@ class TestMatrixExp:
         want = osc_to_matrix(OscElement(0.0, 0.0, 0.0, t))
         assert float(np.max(np.abs(got - want))) <= 1e-14
 
-    @pytest.mark.parametrize(
-        "m,tol",
-        [
-            pytest.param(_uniform(0, 0.5), 1e-14, id="0-0.5-1e-14"),
-            pytest.param(_uniform(1, 4.0), 1e-13, id="1-4.0-1e-13"),
-            pytest.param(_uniform(2, 10.0), 1e-12, id="2-10.0-1e-12"),
-            pytest.param(_uniform(3, 0.01), 1e-15, id="tiny-0.01"),
-            # 1-norm just below and just above the scaling threshold 0.5
-            pytest.param(_with_norm1(4, 0.5 * (1.0 - 1e-9)), 1e-14, id="norm1-below-0.5"),
-            pytest.param(_with_norm1(5, 0.5 * (1.0 + 1e-9)), 1e-14, id="norm1-above-0.5"),
-            pytest.param(_uniform(6, 30.0), 1e-12, id="30-many-squarings"),
-            # step generators of the orbit grids: verify uses ds = 0.1, the
-            # benchmark's sweep spans 0.5 .. 60 over 100 steps
-            *(
-                pytest.param(algebra_matrix(OscVector(*(ds * vec(ORBIT_W)))), 1e-14, id=f"ds-{ds}")
-                for ds in (0.005, 0.05, 0.1, 0.2, 0.6)
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("m,tol", ORACLE_CASES)
     def test_against_high_precision_oracle(self, m, tol):
-        got = matrix_exp(m)
-        with mpmath.workdps(50):
-            ref = mpmath.expm(mpmath.matrix(m.tolist()))
-            ref = np.array(ref.tolist(), dtype=float)
-        denom = max(1.0, float(np.max(np.abs(ref))))
-        assert float(np.max(np.abs(got - ref))) / denom <= tol
+        assert oracle_error(m, matrix_exp(m)) <= tol
+
+    def test_stack_matches_its_slices_and_the_oracle(self):
+        # 1-norms from 0.01 to 30, so s differs from slice to slice
+        stack = np.array([case.values[0] for case in ORACLE_CASES])
+        got = matrix_exp(stack)
+        assert got.shape == stack.shape
+        for case, one in zip(ORACLE_CASES, got):
+            m, tol = case.values
+            assert np.array_equal(one, matrix_exp(m))
+            assert oracle_error(m, one) <= tol
+
+    def test_stack_with_two_leading_axes(self):
+        stack = np.array([case.values[0] for case in ORACLE_CASES[:12]]).reshape(3, 4, 4, 4)
+        got = matrix_exp(stack)
+        for i, j in np.ndindex(3, 4):
+            assert np.array_equal(got[i, j], matrix_exp(stack[i, j]))
+
+    def test_non_finite_slices_give_nan_alone(self):
+        stack = np.array([case.values[0] for case in ORACLE_CASES])
+        stack[1, 0, 3] = math.nan
+        stack[4, 2, 1] = math.inf
+        stack[6, 1, 1] = -math.inf
+        # finite entries 1.6e308 and 1e308 in the last column sum to inf
+        stack[9] = algebra_matrix(OscVector(1e308, 0.0, 8e307, 0.0))
+        with np.errstate(over="ignore"):
+            got = matrix_exp(stack)
+        nan = np.all(np.isnan(got), axis=(1, 2))
+        assert np.flatnonzero(nan).tolist() == [1, 4, 6, 9]
+        for m, one in zip(stack[~nan], got[~nan]):
+            assert np.array_equal(one, matrix_exp(m))
+
+    def test_finished_slices_are_not_squared_again(self):
+        # s = 1025 for the first slice and 10 for the second, whose
+        # exponential e^400 I is finite but whose square would overflow (an
+        # error under the pytest config)
+        stack = np.array([algebra_matrix(OscVector(0.0, 0.0, 0.0, 1e308)), 400.0 * np.eye(4)])
+        got = matrix_exp(stack)
+        for m, one in zip(stack, got):
+            assert np.array_equal(one, matrix_exp(m))
+
+    def test_empty_stack_gives_empty_stack(self):
+        got = matrix_exp(np.zeros((0, 4, 4)))
+        assert got.shape == (0, 4, 4)
 
     def test_taylor_core_reaches_double_precision(self):
         # a rotation by 0.5 has 1-norm 0.5, so no squaring hides the
@@ -317,9 +363,10 @@ class TestMatrixExp:
         got = matrix_exp(algebra_matrix(OscVector(0.0, 0.0, 0.0, 1e308)))
         assert got.shape == (4, 4)
 
-    @pytest.mark.parametrize("shape", [(4,), (4, 3), (2, 4, 4), (0, 0)])
+    @pytest.mark.parametrize("shape", [(4,), (4, 3), (2, 4, 3), (0, 0)])
     def test_rejects_non_square_input(self, shape):
-        # a vector used to come back as the 4x4 identity
+        # a vector used to come back as the 4x4 identity; a stack of
+        # square matrices, even an empty one, is valid input
         with pytest.raises(ShapeError):
             matrix_exp(np.zeros(shape))
 
