@@ -40,7 +40,6 @@ from .trajectories import (
     magnetic_point_from,
     magnetic_velocity,
     orbit_grid,
-    orbit_point,
 )
 
 __version__ = "0.1.0"

@@ -70,9 +70,10 @@ class CheckResult:
     passed: bool
 
 
-def _result(name: str, err, tol: float) -> CheckResult:
-    """A check outcome; a non-finite error is reported as inf and fails."""
-    err = float(err)
+def _result(name: str, errors, tol: float) -> CheckResult:
+    """A check outcome from its errors over all instances: their maximum,
+    0 for none, with a NaN or inf reported as inf, which fails."""
+    err = float(np.max(errors, initial=0.0))
     if not math.isfinite(err):
         err = math.inf
     return CheckResult(name, err, tol, bool(err <= tol))
@@ -106,7 +107,7 @@ def check_homogeneity(
     gens = np.column_stack(astuple(homogeneous_generator(a, b, c, q * j_strength)))
     orbits = orbit_grid(gens, 10.0, 100)
 
-    err = np.max(np.linalg.norm(closed - orbits, axis=-1))
+    err = np.linalg.norm(closed - orbits, axis=-1)
     name = "homogeneity_geodesic" if q_zero else "homogeneity_magnetic"
     return _result(name, err, 1e-9)
 
@@ -137,8 +138,7 @@ def check_orbit_formulas(seed: int, n: int = 500) -> CheckResult:
 
     gens = np.column_stack(astuple(homogeneous_generator(*vel.T, 0.0)))
     orbits = orbit_grid(gens, 10.0, 100)
-    err = np.max(np.abs(literal - orbits))
-    return _result("orbit_coordinate_formulas", err, 1e-10)
+    return _result("orbit_coordinate_formulas", np.abs(literal - orbits), 1e-10)
 
 
 # steps of check_ode_sweep per closed-form call; its temporaries are a few
@@ -176,8 +176,8 @@ def check_ode_sweep(
 
     nsteps = int(round(s_max / h))
     states = np.empty((_SWEEP_BLOCK, 6, n))
-    # np.maximum keeps a NaN that Python's max would drop
-    pos_err2 = speed_err = angle_err = 0.0
+    # running maxima over the steps, one per trajectory
+    pos_err2 = speed_err = angle_err = np.zeros(n)
     for k0 in range(1, nsteps + 1, _SWEEP_BLOCK):
         m = min(_SWEEP_BLOCK, nsteps + 1 - k0)
         for i in range(m):
@@ -188,12 +188,12 @@ def check_ode_sweep(
         s = np.arange(k0, k0 + m)[:, None] * h
         closed = magnetic_point_from(p0, a, b, c, q, s)
         d2 = (x - closed.x) ** 2 + (y - closed.y) ** 2 + (z - closed.z) ** 2
-        pos_err2 = np.maximum(pos_err2, np.max(d2))
+        pos_err2 = np.maximum(pos_err2, np.max(d2, axis=0))
 
         fv = coord_to_frame(NilPoint(x, y, z), CoordVector(vx, vy, vz))
         speed = np.sqrt(fv.a ** 2 + fv.b ** 2 + fv.c ** 2)
-        speed_err = np.maximum(speed_err, np.max(np.abs(speed - 1.0)))
-        angle_err = np.maximum(angle_err, np.max(np.abs(fv.c - ct0)))
+        speed_err = np.maximum(speed_err, np.max(np.abs(speed - 1.0), axis=0))
+        angle_err = np.maximum(angle_err, np.max(np.abs(fv.c - ct0), axis=0))
 
     return [
         _result("ode_vs_closed_form", np.sqrt(pos_err2), 1e-6),
@@ -206,9 +206,9 @@ def check_convergence(j_strength: float = 1.0) -> CheckResult:
     """Order of convergence of the integrator on one slant instance.
 
     Halving the step must shrink the final-point error by at least 12
-    (the fourth-order ideal is 16).  Reported max_error is the shortfall
-    12 - min(ratio), clamped at zero, or inf when a ratio is not finite
-    (a NaN or zero error proves no order).
+    (the fourth-order ideal is 16).  The error of a halving is its
+    shortfall 12 - ratio, or inf when the ratio is not finite (a NaN or
+    zero error proves no order); the reducer clamps it at zero.
     """
     a, b, c, q = 0.8, 0.0, 0.6, 1.9
     target = magnetic_point(a, b, c, q, 10.0)
@@ -219,14 +219,9 @@ def check_convergence(j_strength: float = 1.0) -> CheckResult:
         for u in rk4_states(init, StepConfig(h, n)):
             pass
         errs.append(math.dist(u[:3], (target.x, target.y, target.z)))
-    ratios = [
-        errs[i] / errs[i + 1] if errs[i + 1] > 0.0 else math.inf
-        for i in range(len(errs) - 1)
-    ]
-    if all(math.isfinite(r) for r in ratios):
-        shortfall = max(0.0, 12.0 - min(ratios))
-    else:
-        shortfall = math.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.divide(errs[:-1], errs[1:])
+    shortfall = np.where(np.isfinite(ratios), 12.0 - ratios, math.inf)
     return _result("convergence_order", shortfall, 0.0)
 
 
@@ -243,8 +238,6 @@ def check_u_tensor() -> CheckResult:
         (2, 1): (0.5, 0.0, 0.0, 0.0),
     }
 
-    # deviations are collected and reduced with np.max, which keeps a NaN
-    # that Python's max would drop; the other scalar-loop checks do the same
     devs = []
     for i, x in enumerate(nil3):
         for j, y in enumerate(nil3):
@@ -255,19 +248,19 @@ def check_u_tensor() -> CheckResult:
     for x in m_basis:
         for y in m_basis:
             devs.append(astuple(u_tensor(m_basis, x, y)))
-    return _result("u_tensor_table", np.max(np.abs(devs)), 1e-12)
+    return _result("u_tensor_table", np.abs(devs), 1e-12)
 
 
 def check_go_grid() -> CheckResult:
     """Pre-geodesic classification on the integer grid {-2..2}^4.
 
     The accepted set must be exactly the union of the two families
-    w4 == w3 and w1 == w2 == 0; max_error counts mismatches.
+    w4 == w3 and w1 == w2 == 0; a misclassified point has error 1.
     """
     w1, w2, w3, w4 = np.array(list(product((-2, -1, 0, 1, 2), repeat=4)), dtype=float).T
     expected = (w4 == w3) | ((w1 == 0) & (w2 == 0))
     got = go_criterion(OscVector(w1, w2, w3, w4), "nil3")
-    return _result("go_grid_classification", np.count_nonzero(got.is_pregeodesic != expected), 0.0)
+    return _result("go_grid_classification", got.is_pregeodesic != expected, 0.0)
 
 
 def check_group_identities(seed: int, n: int = 1000) -> list[CheckResult]:
@@ -299,9 +292,9 @@ def check_group_identities(seed: int, n: int = 1000) -> list[CheckResult]:
     )
     bch_devs = (lhs.x - rhs.x, lhs.y - rhs.y, lhs.z - rhs.z)
     return [
-        _result("matrix_subgroup_product", np.max(np.abs(sub_devs)), 1e-12),
-        _result("group_factorization", np.max(np.abs(fac_devs)), 1e-11),
-        _result("bch_nil", np.max(np.abs(bch_devs)), 1e-12),
+        _result("matrix_subgroup_product", np.abs(sub_devs), 1e-12),
+        _result("group_factorization", np.abs(fac_devs), 1e-11),
+        _result("bch_nil", np.abs(bch_devs), 1e-12),
     ]
 
 
@@ -314,7 +307,7 @@ def check_frame_gram(seed: int, n: int = 1000) -> CheckResult:
     coords = [frame_to_coord(p, f) for f in frame]
     # gram[i, j] holds <E_i, E_j> at every point
     gram = np.array([[metric(p, u, v) for v in coords] for u in coords])
-    return _result("frame_gram", np.max(np.abs(gram.T - np.eye(3))), 1e-13)
+    return _result("frame_gram", np.abs(gram.T - np.eye(3)), 1e-13)
 
 
 def check_reeb_lorentz() -> CheckResult:
@@ -331,7 +324,7 @@ def check_reeb_lorentz() -> CheckResult:
     devs.extend(astuple(lorentz(e3)))
     for f in (FrameVector(1, 0, 0), FrameVector(0, 1, 0), e3):
         devs.extend(np.subtract(astuple(cross(e3, f)), astuple(lorentz(f))))
-    return _result("reeb_lorentz_identities", np.max(np.abs(devs)), 0.0)
+    return _result("reeb_lorentz_identities", np.abs(devs), 0.0)
 
 
 def run_checks(seed: int, j_strength: float = 1.0) -> list[CheckResult]:
@@ -459,7 +452,10 @@ def _validate(args: argparse.Namespace) -> None:
         # the RK4 steps per row; islice refuses a stride past 2**63 - 1
         if args.source == "rk4" and not args.s_max / args.steps / args.h < 2.0 ** 63:
             raise DomainError("s-max / (steps * h) must be below 2**63")
-        norm = math.sqrt(args.a ** 2 + args.b ** 2 + args.c ** 2)
+        try:
+            norm = math.sqrt(args.a ** 2 + args.b ** 2 + args.c ** 2)
+        except OverflowError:
+            raise DomainError("velocity (a, b, c) is too large to normalise") from None
         if abs(norm - 1.0) > 1e-6:
             raise DomainError(
                 f"velocity (a, b, c) has norm {norm:.8g}, more than 1e-6 from 1"

@@ -17,8 +17,7 @@ The same trajectories arise as one-parameter orbits exp(s W).o in the
 isometry group; homogeneous_generator builds the W matching given
 initial data and orbit_grid evaluates the orbit through the matrix
 exponential, with no shared code with the closed forms (that equality is
-exactly what the verification suite checks).  orbit_point is the
-one-step orbit_grid: a single exponential of s W.
+exactly what the verification suite checks).
 """
 
 from __future__ import annotations
@@ -204,18 +203,3 @@ def orbit_grid(w, s_max: float, steps: int) -> np.ndarray:
     out[..., 1] = cols[:, 2]
     out[..., 2] = 0.5 * cols[:, 0]
     return out[0] if single else out
-
-
-def orbit_point(v: OscVector, s: float) -> NilPoint:
-    """The orbit exp(s v).o at the origin o: the last row of
-    orbit_grid(v, s, 1), one matrix exponential of s v.
-
-    Raises DomainError when the point is not finite (a non-finite or
-    overflowing s v).
-    """
-    # an overflow shows up as a non-finite row, rejected below
-    with np.errstate(all="ignore"):
-        row = orbit_grid(v, s, 1)[-1]
-    if not np.all(np.isfinite(row)):
-        raise DomainError("the orbit point is not finite; the generator or s is too large")
-    return NilPoint(*row.tolist())

@@ -7,12 +7,24 @@ pass/fail line for each.  These call the same check functions the
 
 import json
 import math
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
-from nilmag import FrameVector, OscElement, OscVector, cli_reporting
+from nilmag import (
+    FrameVector,
+    NilPoint,
+    OscElement,
+    OscVector,
+    cli_reporting,
+    go_criterion,
+    matrix_exp,
+    nil_multiply,
+    orbit_grid,
+)
 from nilmag.cli_reporting import (
+    CheckResult,
     check_convergence,
     check_frame_gram,
     check_go_grid,
@@ -23,6 +35,7 @@ from nilmag.cli_reporting import (
     check_reeb_lorentz,
     check_u_tensor,
     main,
+    run_checks,
 )
 
 SEED = 0
@@ -200,3 +213,119 @@ def test_nan_in_a_scalar_loop_check_fails_it(monkeypatch, name):
     assert result.name == result_name
     assert not result.passed
     assert result.max_error == math.inf
+
+
+def one_nan(values, index):
+    """A float copy of values with the entry at index set to NaN."""
+    out = np.array(values, dtype=float)
+    out[index] = math.nan
+    return out
+
+
+def orbit_grid_one_nan(*args):
+    # one point of one orbit
+    return one_nan(orbit_grid(*args), (2, 50))
+
+
+# report name -> (function replaced, its stand-in giving one NaN instance,
+# check); the instance counts are small, the NaN is in instance 2 or 3
+NAN_INSTANCES = {
+    "homogeneity_magnetic": (
+        "orbit_grid",
+        orbit_grid_one_nan,
+        lambda: check_homogeneity(SEED, n=5),
+    ),
+    "homogeneity_geodesic": (
+        "orbit_grid",
+        orbit_grid_one_nan,
+        lambda: check_homogeneity(SEED, q_zero=True, n=5),
+    ),
+    "orbit_coordinate_formulas": (
+        "orbit_grid",
+        orbit_grid_one_nan,
+        lambda: check_orbit_formulas(SEED, n=5),
+    ),
+    "group_factorization": (
+        "matrix_exp",
+        lambda m: one_nan(matrix_exp(m), 3),
+        lambda: check_group_identities(SEED, n=5)[1],
+    ),
+    "bch_nil": (
+        "nil_multiply",
+        lambda p, q: NilPoint(*one_nan(astuple(nil_multiply(p, q)), (0, 3))),
+        lambda: check_group_identities(SEED, n=5)[2],
+    ),
+}
+
+
+@pytest.mark.parametrize("result_name", list(NAN_INSTANCES))
+def test_one_nan_instance_fails_its_check(monkeypatch, result_name):
+    """A NaN in one instance of an array check must fail it with inf."""
+    name, fake, check = NAN_INSTANCES[result_name]
+    monkeypatch.setattr(cli_reporting, name, fake)
+    result = check()
+    assert result.name == result_name
+    assert not result.passed
+    assert result.max_error == math.inf
+
+
+@pytest.mark.parametrize("flips", [1, 3])
+def test_misclassified_grid_points_fail_with_error_one(monkeypatch, flips):
+    """The grid compares booleans, so no NaN reaches it: a misclassified
+    point has error 1, however many there are."""
+
+    def flipped(w, decomposition):
+        res = go_criterion(w, decomposition)
+        wrong = np.arange(res.is_pregeodesic.size) < flips
+        return replace(res, is_pregeodesic=res.is_pregeodesic ^ wrong)
+
+    monkeypatch.setattr(cli_reporting, "go_criterion", flipped)
+    result = check_go_grid()
+    assert not result.passed
+    assert result.max_error == 1.0
+
+
+# check function -> the names of the results it returns
+CHECK_RESULTS = {
+    "check_orbit_formulas": ["orbit_coordinate_formulas"],
+    "check_ode_sweep": ["ode_vs_closed_form", "conservation_speed", "conservation_contact_angle"],
+    "check_convergence": ["convergence_order"],
+    "check_u_tensor": ["u_tensor_table"],
+    "check_go_grid": ["go_grid_classification"],
+    "check_group_identities": ["matrix_subgroup_product", "group_factorization", "bch_nil"],
+    "check_frame_gram": ["frame_gram"],
+    "check_reeb_lorentz": ["reeb_lorentz_identities"],
+}
+
+
+def test_run_checks_looks_up_each_check_on_the_module(monkeypatch):
+    """run_checks must call the check_* attributes of cli_reporting, which
+    the benchmark's tracer wraps for its per-check spans; the tracer tells
+    check_homogeneity's two calls apart by q_zero, the second positional
+    argument or the keyword."""
+    calls = []
+
+    def stub(fn, names):
+        def check(*args, **kwargs):
+            calls.append(fn)
+            results = [CheckResult(name, 0.0, 0.0, True) for name in names]
+            return results if len(results) > 1 else results[0]
+
+        return check
+
+    def homogeneity(*args, **kwargs):
+        q_zero = args[1] if len(args) > 1 else kwargs.get("q_zero", False)
+        calls.append(f"check_homogeneity q_zero={q_zero}")
+        kind = "geodesic" if q_zero else "magnetic"
+        return CheckResult(f"homogeneity_{kind}", 0.0, 0.0, True)
+
+    for fn, names in CHECK_RESULTS.items():
+        monkeypatch.setattr(cli_reporting, fn, stub(fn, names))
+    monkeypatch.setattr(cli_reporting, "check_homogeneity", homogeneity)
+
+    results = run_checks(SEED)
+    names = [n for group in CHECK_RESULTS.values() for n in group]
+    names += ["homogeneity_geodesic", "homogeneity_magnetic"]
+    assert [r.name for r in results] == sorted(names)
+    homogeneity_calls = ["check_homogeneity q_zero=False", "check_homogeneity q_zero=True"]
+    assert sorted(calls) == sorted([*CHECK_RESULTS, *homogeneity_calls])

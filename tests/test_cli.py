@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
@@ -20,7 +21,7 @@ from nilmag import (
     OscVector,
     StepConfig,
     cli_reporting,
-    orbit_point,
+    orbit_grid,
 )
 from nilmag.cli_reporting import (
     _EMIT_FIELDS,
@@ -207,6 +208,13 @@ class TestEmit:
         assert out == ""
         assert "norm" in err
 
+    @pytest.mark.parametrize("flag", ["--a", "--b", "--c"])
+    def test_rejects_velocity_whose_square_overflows(self, capsys, flag):
+        # 1e200 passes the finite-flag check, but its square overflows
+        code, out, err = run_cli(capsys, "emit", "--a", "0", "--b", "0", "--c", "0", flag, "1e200")
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "velocity" in err
+
     def test_normalizes_near_unit_velocity(self, capsys):
         code, out, _ = run_cli(
             capsys, "emit", "--a", "1.0000005", "--c", "0", "--steps", "1", "--s-max", "1"
@@ -361,11 +369,11 @@ class TestOrbit:
         w = OscVector(1.0, 0.0, 1.0, 1.0)
         for i, row in enumerate(rows):
             s = 2.0 * i / 4
-            want = orbit_point(w, s)
+            x, y, z = orbit_grid(w, s, 1)[-1]
             assert row[0] == s
-            assert abs(row[1] - want.x) <= 1e-12
-            assert abs(row[2] - want.y) <= 1e-12
-            assert abs(row[3] - want.z) <= 1e-12
+            assert abs(row[1] - x) <= 1e-12
+            assert abs(row[2] - y) <= 1e-12
+            assert abs(row[3] - z) <= 1e-12
 
     @pytest.mark.parametrize(
         "flags",
@@ -628,3 +636,14 @@ class TestInvocation:
         )
         assert proc.returncode == 0
         assert criterion_row(proc.stdout)["family"] == "W4*E4"
+
+    def test_console_script_declaration(self, capsys):
+        # what an install would put on PATH as `nilmag`, run in process
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["nilmag"]
+        module, _, attr = target.partition(":")
+        entry = getattr(importlib.import_module(module), attr)
+        code = entry(["criterion", "--w1", "0", "--w2", "0", "--w3", "0", "--w4", "2"])
+        assert code == 0
+        assert criterion_row(capsys.readouterr().out)["family"] == "W4*E4"

@@ -23,7 +23,6 @@ from nilmag import (
     magnetic_velocity,
     matrix_exp,
     orbit_grid,
-    orbit_point,
     trajectories,
 )
 
@@ -251,40 +250,25 @@ class TestHomogeneousGenerator:
 
 
 class TestOrbitPoint:
+    """The orbit point exp(s W).o, the last row of the one-step orbit_grid."""
+
     def test_central_direction(self):
         for s in (0.1, 2.0, -4.0):
-            assert orbit_point(OscVector(0.0, 0.0, 1.0, 0.0), s) == NilPoint(0.0, 0.0, s)
+            assert orbit_grid(OscVector(0.0, 0.0, 1.0, 0.0), s, 1)[-1].tolist() == [0.0, 0.0, s]
 
     def test_rotation_direction_fixes_origin(self):
         for s in (0.3, 5.0):
-            assert orbit_point(OscVector(0.0, 0.0, 0.0, 1.0), s) == ORIGIN
+            assert orbit_grid(OscVector(0.0, 0.0, 0.0, 1.0), s, 1)[-1].tolist() == [0.0] * 3
 
     def test_at_zero(self):
-        assert orbit_point(OscVector(0.4, -1.0, 0.7, 0.2), 0.0) == ORIGIN
+        assert orbit_grid(OscVector(0.4, -1.0, 0.7, 0.2), 0.0, 1)[-1].tolist() == [0.0] * 3
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 3.7])
     def test_mixed_direction_closed_form(self, s):
-        p = orbit_point(OscVector(1.0, 0.0, 1.0, 1.0), s)
-        assert p.x == pytest.approx(math.sin(s), abs=1e-10)
-        assert p.y == pytest.approx(1.0 - math.cos(s), abs=1e-10)
-        assert p.z == pytest.approx((3.0 * s - math.sin(s)) / 2.0, abs=1e-10)
-
-    @pytest.mark.parametrize("s", [0.0, 0.7, -2.5, 40.0])
-    def test_is_the_one_step_orbit_grid(self, s):
-        w = OscVector(0.48, -0.6, 0.64, 2.5)
-        assert orbit_point(w, s) == NilPoint(*orbit_grid(w, s, 1)[-1])
-
-    @pytest.mark.parametrize(
-        "w, s",
-        [
-            (OscVector(math.nan, 0.0, 1.0, 1.0), 1.0),
-            (OscVector(1e308, 0.0, 1.0, 1.0), 1.0),
-            (OscVector(1.0, 0.0, 1.0, 1.0), 1e308),
-        ],
-    )
-    def test_non_finite_point_is_a_domain_error(self, w, s):
-        with pytest.raises(DomainError):
-            orbit_point(w, s)
+        x, y, z = orbit_grid(OscVector(1.0, 0.0, 1.0, 1.0), s, 1)[-1]
+        assert x == pytest.approx(math.sin(s), abs=1e-10)
+        assert y == pytest.approx(1.0 - math.cos(s), abs=1e-10)
+        assert z == pytest.approx((3.0 * s - math.sin(s)) / 2.0, abs=1e-10)
 
     @pytest.mark.parametrize(
         "a,b,c,q",
@@ -293,9 +277,9 @@ class TestOrbitPoint:
     def test_orbit_traces_trajectory(self, a, b, c, q):
         w = homogeneous_generator(a, b, c, q)
         for s in (0.25, 1.0, 2.9):
-            got = orbit_point(w, s)
+            got = orbit_grid(w, s, 1)[-1]
             want = magnetic_point(a, b, c, q, s)
-            assert pvec(got) == pytest.approx(pvec(want), abs=1e-12)
+            assert got == pytest.approx(pvec(want), abs=1e-12)
 
 
 class TestGrids:
@@ -388,7 +372,7 @@ class TestGrids:
         assert grid.shape == (51, 3)
         for i in (0, 1, 17, 50):
             s = 5.0 * i / 50
-            assert grid[i] == pytest.approx(pvec(orbit_point(w, s)), abs=1e-12)
+            assert grid[i] == pytest.approx(orbit_grid(w, s, 1)[-1], abs=1e-12)
 
     def test_orbit_grid_builds_the_step_generators_in_one_call(self, monkeypatch):
         calls = []
@@ -403,7 +387,7 @@ class TestGrids:
         grid = orbit_grid(np.array(gens), 5.0, 50)
         assert calls == [(3,)]
         for w, orbit in zip(gens, grid):
-            assert orbit[-1] == pytest.approx(pvec(orbit_point(OscVector(*w), 5.0)), abs=1e-12)
+            assert orbit[-1] == pytest.approx(orbit_grid(OscVector(*w), 5.0, 1)[-1], abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 3, 7])
     def test_orbit_grid_takes_one_matrix_exp_per_generator(self, monkeypatch, n):
@@ -523,7 +507,7 @@ class TestOrbitGridAccuracy:
         assert orbit_grid(np.zeros((0, 4)), 7.3, steps).shape == (0, steps + 1, 3)
 
     def test_one_step_is_the_one_product_of_the_stepwise_loop(self):
-        # orbit_point's path: the bytes, so signed zeros count too
+        # the one-step grid, exp(s W).o alone: the bytes, so signed zeros count too
         rng = np.random.default_rng(1)
         w = rng.uniform(-2.0, 2.0, (100, 4))
         w[rng.random(w.shape) < 0.3] = 0.0
