@@ -17,7 +17,7 @@ from .geometry import (
     metric,
     u_tensor,
 )
-from .integrator import StepConfig, integrate
+from .integrator import InitialData, StepConfig, integrate
 from .lie_core import (
     NilPoint,
     OscElement,
@@ -33,7 +33,6 @@ from .lie_core import (
     osc_to_matrix,
 )
 from .trajectories import (
-    InitialData,
     homogeneous_generator,
     magnetic_grid,
     magnetic_point,

@@ -38,7 +38,7 @@ from .geometry import (
     metric,
     u_tensor,
 )
-from .integrator import StepConfig, batch_initial_state, batch_step, rk4_states
+from .integrator import InitialData, StepConfig, batch_step, rk4_states
 from .lie_core import (
     NilPoint,
     OscElement,
@@ -52,7 +52,6 @@ from .lie_core import (
     osc_to_matrix,
 )
 from .trajectories import (
-    InitialData,
     homogeneous_generator,
     magnetic_grid,
     magnetic_point,
@@ -171,8 +170,9 @@ def check_ode_sweep(
     # the charge the integrator sees; j_strength = 1 leaves q as it is
     q_rk4 = q * j_strength
 
-    state = batch_initial_state(starts, vel)
-    ct0 = coord_to_frame(NilPoint(*state[:3]), CoordVector(*state[3:])).c
+    cv = frame_to_coord(p0, FrameVector(a, b, c))
+    state = np.array((p0.x, p0.y, p0.z, cv.dx, cv.dy, cv.dz))
+    ct0 = coord_to_frame(p0, cv).c
 
     nsteps = int(round(s_max / h))
     states = np.empty((_SWEEP_BLOCK, 6, n))
@@ -367,6 +367,9 @@ def report_json(checks: list[CheckResult]) -> str:
 
 _EMIT_FIELDS = ("s", "x", "y", "z", "vx", "vy", "vz", "cos_theta", "speed")
 _ORBIT_FIELDS = ("s", "x", "y", "z")
+# the largest table has steps + 1 rows of len(_EMIT_FIELDS) floats; numpy
+# refuses an array past intp bytes with a ValueError, not a MemoryError
+_MAX_STEPS = np.iinfo(np.intp).max // (8 * len(_EMIT_FIELDS)) - 1
 
 
 def _emit_rows(args: argparse.Namespace) -> np.ndarray:
@@ -442,8 +445,8 @@ def _validate(args: argparse.Namespace) -> None:
     if args.command == "verify" and args.seed < 0:
         raise DomainError("seed must be non-negative")
     if args.command in ("emit", "orbit"):
-        if args.steps < 1:
-            raise DomainError("steps must be at least 1")
+        if not 1 <= args.steps <= _MAX_STEPS:
+            raise DomainError(f"steps must be between 1 and {_MAX_STEPS}")
         if not (args.s_max > 0.0):
             raise DomainError("s-max must be positive")
     if args.command == "emit":

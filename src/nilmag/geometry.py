@@ -34,6 +34,12 @@ class FrameVector:
     c: float
 
 
+def _require_unit(a, b, c):
+    # the one unit-speed test; written so that a NaN component fails it
+    if not np.all(np.abs(a * a + b * b + c * c - 1.0) <= 1e-12):
+        raise DomainError("velocity components must be unit vectors")
+
+
 @dataclass(frozen=True)
 class CoordVector:
     """Tangent vector by coordinate components (dx, dy, dz)."""

@@ -21,9 +21,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import FrameVector, frame_to_coord
+from .geometry import FrameVector, _require_unit, frame_to_coord
 from .lie_core import NilPoint
-from .trajectories import InitialData
+
+
+@dataclass(frozen=True)
+class InitialData:
+    """Start point, unit frame velocity, and charge of a trajectory."""
+
+    start: NilPoint
+    velocity: FrameVector
+    q: float = 0.0
+
+    def __post_init__(self):
+        _require_unit(self.velocity.a, self.velocity.b, self.velocity.c)
 
 
 @dataclass(frozen=True)
@@ -109,11 +120,3 @@ def batch_step(state, h, q):
     k3 = np.array(_rhs(*(state + 0.5 * h * k2), q))
     k4 = np.array(_rhs(*(state + h * k3), q))
     return state + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def batch_initial_state(starts, velocities):
-    """The (6, n) state from (n,3) starts and frame velocities."""
-    x0, y0, z0 = np.asarray(starts, dtype=float).T
-    a, b, c = np.asarray(velocities, dtype=float).T
-    cv = frame_to_coord(NilPoint(x0, y0, z0), FrameVector(a, b, c))
-    return np.array((x0, y0, z0, cv.dx, cv.dy, cv.dz))

@@ -24,34 +24,16 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import astuple, dataclass
+from dataclasses import astuple
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .geometry import FrameVector
+from .geometry import FrameVector, _require_unit
 from .lie_core import NilPoint, OscVector, algebra_matrix, matrix_exp, nil_multiply
 
 # Taylor coefficients of K3, (-1)^k / (2k+3)!; enough terms for |u| < 0.5
 _K3_COEFFS = [(-1.0) ** k / math.factorial(2 * k + 3) for k in range(8)]
-
-
-def _require_unit(a, b, c):
-    # the one unit-speed test; written so that a NaN component fails it
-    if not np.all(np.abs(a * a + b * b + c * c - 1.0) <= 1e-12):
-        raise DomainError("velocity components must be unit vectors")
-
-
-@dataclass(frozen=True)
-class InitialData:
-    """Start point, unit frame velocity, and charge of a trajectory."""
-
-    start: NilPoint
-    velocity: FrameVector
-    q: float = 0.0
-
-    def __post_init__(self):
-        _require_unit(self.velocity.a, self.velocity.b, self.velocity.c)
 
 
 def magnetic_point(a, b, c, q, s) -> NilPoint:

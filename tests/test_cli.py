@@ -410,6 +410,21 @@ class TestOrbit:
         assert [sample["z"] for sample in data["samples"]] == [0.0, 0.5, 1.0]
 
 
+@pytest.mark.parametrize(
+    "command",
+    [("emit",), ("emit", "--source", "rk4"),
+     ("orbit", "--w1", "1", "--w2", "0", "--w3", "1", "--w4", "1")],
+    ids=["closed", "rk4", "orbit"],
+)
+# past int64, and 2**60 rows of 8-byte floats (2**63 bytes): numpy cannot
+# size either array, where TOO_MANY_STEPS only cannot be allocated
+@pytest.mark.parametrize("steps", [str(10**20), str(2**60)])
+def test_refuses_a_step_count_numpy_cannot_size(capsys, command, steps):
+    code, out, err = run_cli(capsys, *command, "--steps", steps)
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
 # doubles whose repr takes each of its forms: signed zero, subnormal,
 # exponent notation on both sides, the largest finite magnitudes
 EDGE_FLOATS = [-0.0, 5e-324, 1e-5, 1e16, 1e22, 1.7976931348623157e308, -1.7976931348623157e308]

@@ -18,7 +18,7 @@ from nilmag import (
     magnetic_velocity,
 )
 from nilmag.cli_reporting import check_ode_sweep
-from nilmag.integrator import _rhs, batch_initial_state, batch_step, rk4_states
+from nilmag.integrator import _rhs, batch_step, rk4_states
 
 ORIGIN = NilPoint(0.0, 0.0, 0.0)
 
@@ -75,6 +75,21 @@ class TestLorentzRhs:
             dx, dy, dz, ax, ay, az = rhs_of(x, y, z, vx, vy, vz, q)
             ct_dot = az + 0.5 * (ax * y + vx * vy - dx * vy - x * ay)
             assert ct_dot == pytest.approx(0.0, abs=1e-14)
+
+
+class TestInitialData:
+    def test_holds_fields(self):
+        init = InitialData(NilPoint(1.0, 0.0, 0.0), FrameVector(0.0, 1.0, 0.0))
+        assert init.q == 0.0
+        assert init.velocity.b == 1.0
+
+    def test_rejects_non_unit_velocity(self):
+        with pytest.raises(DomainError):
+            InitialData(ORIGIN, FrameVector(0.9, 0.0, 0.0))
+
+    def test_rejects_nan_velocity(self):
+        with pytest.raises(DomainError):
+            InitialData(ORIGIN, FrameVector(math.nan, 0.0, 1.0))
 
 
 class TestIntegrate:
@@ -154,17 +169,6 @@ class TestStepConfig:
 
 
 class TestBatch:
-    def test_initial_state_matches_frame_conversion(self):
-        starts = np.array([[1.0, 2.0, 0.0], [-0.5, 0.3, 1.0]])
-        vels = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
-        x, y, z, vx, vy, vz = batch_initial_state(starts, vels)
-        for i in range(2):
-            cv = frame_to_coord(
-                NilPoint(*starts[i]), FrameVector(*vels[i])
-            )
-            assert (vx[i], vy[i], vz[i]) == (cv.dx, cv.dy, cv.dz)
-        assert np.array_equal(x, starts[:, 0])
-
     def test_steps_agree_with_scalar_integrator(self):
         rng = np.random.default_rng(29)
         starts = rng.uniform(-1.0, 1.0, size=(3, 3))
@@ -172,7 +176,9 @@ class TestBatch:
         qs = rng.uniform(-2.0, 2.0, size=3)
         h, n = 1e-3, 200
 
-        state = batch_initial_state(starts, vels)
+        p0 = NilPoint(*starts.T)
+        cv = frame_to_coord(p0, FrameVector(*vels.T))
+        state = np.array((p0.x, p0.y, p0.z, cv.dx, cv.dy, cv.dz))
         for _ in range(n):
             state = batch_step(state, h, qs)
 
@@ -235,7 +241,8 @@ def stepwise_ode_sweep(seed, n, h, s_max):
     a, b, c = vel[:, 0], vel[:, 1], vel[:, 2]
     x0, y0, z0 = starts[:, 0], starts[:, 1], starts[:, 2]
 
-    state = batch_initial_state(starts, vel)
+    cv = frame_to_coord(NilPoint(x0, y0, z0), FrameVector(a, b, c))
+    state = np.array((x0, y0, z0, cv.dx, cv.dy, cv.dz))
     ct0 = state[5] + 0.5 * (state[3] * state[1] - state[0] * state[4])
     pos_err2 = speed_err = angle_err = 0.0
     for k in range(1, int(round(s_max / h)) + 1):

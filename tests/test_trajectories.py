@@ -8,7 +8,6 @@ import pytest
 from nilmag import (
     DomainError,
     FrameVector,
-    InitialData,
     NilPoint,
     OscVector,
     ShapeError,
@@ -249,7 +248,7 @@ class TestHomogeneousGenerator:
         assert w.e4 == 1.0
 
 
-class TestOrbitPoint:
+class TestOrbitEndpoint:
     """The orbit point exp(s W).o, the last row of the one-step orbit_grid."""
 
     def test_central_direction(self):
@@ -366,7 +365,7 @@ class TestGrids:
             with pytest.raises(DomainError):
                 magnetic_grid(a, np.array([0.0, 0.6, 0.0]), 0.8, np.zeros(3), s)
 
-    def test_orbit_grid_matches_orbit_point(self):
+    def test_orbit_grid_rows_match_one_step_orbits(self):
         w = homogeneous_generator(0.48, -0.6, 0.64, 1.9)
         grid = orbit_grid(w, 5.0, 50)
         assert grid.shape == (51, 3)
@@ -572,18 +571,3 @@ class TestK3MatchesGatherScatter:
         # these warn in both forms: u^3 overflows, sin(inf) is invalid
         with np.errstate(over="ignore", invalid="ignore"):
             self.assert_same([6e102, 1e103, -1e103, np.inf, -np.inf, 0.25])
-
-
-class TestInitialData:
-    def test_holds_fields(self):
-        init = InitialData(NilPoint(1.0, 0.0, 0.0), FrameVector(0.0, 1.0, 0.0))
-        assert init.q == 0.0
-        assert init.velocity.b == 1.0
-
-    def test_rejects_non_unit_velocity(self):
-        with pytest.raises(DomainError):
-            InitialData(ORIGIN, FrameVector(0.9, 0.0, 0.0))
-
-    def test_rejects_nan_velocity(self):
-        with pytest.raises(DomainError):
-            InitialData(ORIGIN, FrameVector(math.nan, 0.0, 1.0))
