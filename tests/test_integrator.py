@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from nilmag import (
     FrameVector,
     InitialData,
     NilPoint,
+    ShapeError,
     StepConfig,
     coord_to_frame,
     frame_to_coord,
@@ -18,7 +21,7 @@ from nilmag import (
     magnetic_velocity,
 )
 from nilmag.cli_reporting import check_ode_sweep
-from nilmag.integrator import _rhs, batch_step, rk4_states
+from nilmag.integrator import _rhs, _step, batch_step, rk4_states
 
 ORIGIN = NilPoint(0.0, 0.0, 0.0)
 
@@ -170,26 +173,70 @@ class TestStepConfig:
 
 class TestBatch:
     def test_steps_agree_with_scalar_integrator(self):
+        # every column of every step equals _step on that column's floats,
+        # bit for bit; n = 3, 7, 3 resizes batch_step's cached workspace
+        # and comes back to a used one
         rng = np.random.default_rng(29)
-        starts = rng.uniform(-1.0, 1.0, size=(3, 3))
-        vels = random_unit_rows(rng, 3)
-        qs = rng.uniform(-2.0, 2.0, size=3)
-        h, n = 1e-3, 200
+        h = 1e-3
+        for n, charge in ((3, "array"), (7, "scalar"), (3, "one nan")):
+            starts = rng.uniform(-1.0, 1.0, size=(n, 3))
+            vels = random_unit_rows(rng, n)
+            if charge == "scalar":
+                q = float(rng.uniform(-2.0, 2.0))
+                qs = [q] * n
+            else:
+                q = rng.uniform(-2.0, 2.0, size=n)
+                if charge == "one nan":
+                    q[1] = math.nan
+                qs = [float(qj) for qj in q]
 
-        p0 = NilPoint(*starts.T)
-        cv = frame_to_coord(p0, FrameVector(*vels.T))
-        state = np.array((p0.x, p0.y, p0.z, cv.dx, cv.dy, cv.dz))
-        for _ in range(n):
-            state = batch_step(state, h, qs)
+            p0 = NilPoint(*starts.T)
+            cv = frame_to_coord(p0, FrameVector(*vels.T))
+            state = np.array((p0.x, p0.y, p0.z, cv.dx, cv.dy, cv.dz))
+            for _ in range(200):
+                before = state.copy()
+                stepped = batch_step(state, h, q)
+                # the array an earlier call returned is not reused
+                assert np.array_equal(state, before, equal_nan=True)
+                for j in range(n):
+                    want = _step(tuple(float(v) for v in state[:, j]), h, qs[j])
+                    assert np.array_equal(stepped[:, j], want, equal_nan=True)
+                state = stepped
 
-        for i in range(3):
-            init = InitialData(
-                NilPoint(*starts[i]),
-                FrameVector(*(float(v) for v in vels[i])),
-                q=float(qs[i]),
-            )
-            final = integrate(init, StepConfig(h=h, n=n))[-1]
-            assert np.max(np.abs(state[:, i] - final)) <= 1e-13
+            nan_columns = np.isnan(state).any(axis=0)
+            assert list(nan_columns) == [charge == "one nan" and j == 1 for j in range(n)]
+
+    @pytest.mark.parametrize(
+        "state_shape, q_shape",
+        [((6,), ()), ((5, 4), ()), ((7, 4), ()), ((6, 4, 2), ()), ((6, 4), (5,))],
+    )
+    def test_rejects_a_wrong_shape(self, state_shape, q_shape):
+        with pytest.raises(ShapeError):
+            batch_step(np.zeros(state_shape), 1e-3, np.ones(q_shape))
+
+    def test_threads_do_not_share_a_workspace(self):
+        # four threads step states of the same width, switching as often as
+        # the interpreter allows; one workspace shared between them would
+        # mix one thread's stages into another's
+        rng = np.random.default_rng(31)
+        starts = [rng.uniform(-1.0, 1.0, size=(6, 5)) for _ in range(4)]
+        q = rng.uniform(-2.0, 2.0, size=5)
+
+        def run(state):
+            for _ in range(300):
+                state = batch_step(state, 1e-2, q)
+            return state
+
+        want = [run(state) for state in starts]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(run, starts, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 def generator_step(u, h, q):
