@@ -103,7 +103,7 @@ def check_homogeneity(
 
     s_grid = np.linspace(0.0, 10.0, 101)
     closed = magnetic_grid(a[:, None], b[:, None], c[:, None], q[:, None], s_grid)
-    gens = np.column_stack(astuple(homogeneous_generator(a, b, c, q * j_strength)))
+    gens = np.column_stack(astuple(homogeneous_generator(a, b, c, q, j_strength)))
     orbits = orbit_grid(gens, 10.0, 100)
 
     err = np.linalg.norm(closed - orbits, axis=-1)
@@ -143,14 +143,12 @@ def check_orbit_formulas(seed: int, n: int = 500) -> CheckResult:
 # steps of check_ode_sweep per closed-form call; its temporaries are a few
 # dozen arrays of _SWEEP_BLOCK * n floats, so the block stays small
 _SWEEP_BLOCK = 100
+# the RK4 step of check_ode_sweep
+_SWEEP_H = 1e-3
 
 
 def check_ode_sweep(
-    seed: int,
-    n: int = 200,
-    h: float = 1e-3,
-    s_max: float = 10.0,
-    j_strength: float = 1.0,
+    seed: int, n: int = 200, s_max: float = 10.0, j_strength: float = 1.0
 ) -> list[CheckResult]:
     """RK4 against the closed forms, plus conservation drifts.
 
@@ -158,8 +156,8 @@ def check_ode_sweep(
     across [0, s_max]; position error is compared against the
     left-translated closed form at every step.  The RK4 states of a block
     of _SWEEP_BLOCK steps are buffered and compared in one pass, with the
-    closed form on the whole (block, n) grid of s = k*h, so memory stays
-    bounded by block x n whatever the step count.
+    closed form on the whole (block, n) grid of s = k*_SWEEP_H, so memory
+    stays bounded by block x n whatever the step count.
     """
     rng = np.random.default_rng([seed, 4])
     vel = _unit_velocities(rng, n)
@@ -174,18 +172,18 @@ def check_ode_sweep(
     state = np.array((p0.x, p0.y, p0.z, cv.dx, cv.dy, cv.dz))
     ct0 = coord_to_frame(p0, cv).c
 
-    nsteps = int(round(s_max / h))
+    nsteps = int(round(s_max / _SWEEP_H))
     states = np.empty((_SWEEP_BLOCK, 6, n))
     # running maxima over the steps, one per trajectory
     pos_err2 = speed_err = angle_err = np.zeros(n)
     for k0 in range(1, nsteps + 1, _SWEEP_BLOCK):
         m = min(_SWEEP_BLOCK, nsteps + 1 - k0)
         for i in range(m):
-            state = batch_step(state, h, q_rk4)
+            state = batch_step(state, _SWEEP_H, q_rk4)
             states[i] = state
         x, y, z, vx, vy, vz = states[:m].transpose(1, 0, 2)
 
-        s = np.arange(k0, k0 + m)[:, None] * h
+        s = np.arange(k0, k0 + m)[:, None] * _SWEEP_H
         closed = magnetic_point_from(p0, a, b, c, q, s)
         d2 = (x - closed.x) ** 2 + (y - closed.y) ** 2 + (z - closed.z) ** 2
         pos_err2 = np.maximum(pos_err2, np.max(d2, axis=0))
@@ -228,39 +226,34 @@ def check_convergence(j_strength: float = 1.0) -> CheckResult:
 def check_u_tensor() -> CheckResult:
     """Tensor table on the Heisenberg decomposition and vanishing on the
     naturally reductive one."""
-    nil3 = DECOMPOSITIONS["nil3"]
-    zero = (0.0, 0.0, 0.0, 0.0)
-    # U(E1, E3) = -E2/2 and U(E2, E3) = E1/2, symmetric, rest zero
-    expected = {
-        (0, 2): (0.0, -0.5, 0.0, 0.0),
-        (2, 0): (0.0, -0.5, 0.0, 0.0),
-        (1, 2): (0.5, 0.0, 0.0, 0.0),
-        (2, 1): (0.5, 0.0, 0.0, 0.0),
-    }
-
-    devs = []
-    for i, x in enumerate(nil3):
-        for j, y in enumerate(nil3):
-            u = u_tensor(nil3, x, y)
-            devs.append(np.subtract(astuple(u), expected.get((i, j), zero)))
-
-    m_basis = DECOMPOSITIONS["m"]
-    for x in m_basis:
-        for y in m_basis:
-            devs.append(astuple(u_tensor(m_basis, x, y)))
-    return _result("u_tensor_table", np.abs(devs), 1e-12)
+    # [decomposition, i, j] holds U(E_i, E_j): on nil3, U(E1, E3) = -E2/2
+    # and U(E2, E3) = E1/2, symmetric; zero elsewhere and on m
+    expected = np.zeros((2, 3, 3, 4))
+    expected[0, 0, 2, 1] = expected[0, 2, 0, 1] = -0.5
+    expected[0, 1, 2, 0] = expected[0, 2, 1, 0] = 0.5
+    got = [
+        [[astuple(u_tensor(basis, x, y)) for y in basis] for x in basis]
+        for basis in (DECOMPOSITIONS["nil3"], DECOMPOSITIONS["m"])
+    ]
+    return _result("u_tensor_table", np.abs(np.subtract(got, expected)), 1e-12)
 
 
 def check_go_grid() -> CheckResult:
     """Pre-geodesic classification on the integer grid {-2..2}^4.
 
     The accepted set must be exactly the union of the two families
-    w4 == w3 and w1 == w2 == 0; a misclassified point has error 1.
+    w4 == w3 and w1 == w2 == 0, and an accepted point must be named for
+    the second family (W4*E4 when w3 == 0) whenever it lies in it; a
+    misclassified or misnamed point has error 1.
     """
     w1, w2, w3, w4 = np.array(list(product((-2, -1, 0, 1, 2), repeat=4)), dtype=float).T
-    expected = (w4 == w3) | ((w1 == 0) & (w2 == 0))
+    planar = (w1 == 0) & (w2 == 0)
+    expected = (w4 == w3) | planar
+    rotation = np.where(w3 == 0, "W4*E4", "W3*E3+W4*E4")
+    family = np.where(planar, rotation, "W1*E1+W2*E2+W3*(E3+E4)")
     got = go_criterion(OscVector(w1, w2, w3, w4), "nil3")
-    return _result("go_grid_classification", got.is_pregeodesic != expected, 0.0)
+    wrong = (got.is_pregeodesic != expected) | (got.family != np.where(expected, family, None))
+    return _result("go_grid_classification", wrong, 0.0)
 
 
 def check_group_identities(seed: int, n: int = 1000) -> list[CheckResult]:
@@ -311,9 +304,13 @@ def check_frame_gram(seed: int, n: int = 1000) -> CheckResult:
 
 
 def check_reeb_lorentz() -> CheckResult:
-    """Exact identities: alpha(E3) = 1, lorentz(E3) = 0, and agreement of
-    cross(E3, .) with lorentz on the frame."""
+    """Exact identities: alpha(E3) = 1, cross(E_i, E_j) = eps_ijk E_k on
+    every frame pair, and lorentz = cross(E3, .) on the frame, where the
+    Levi-Civita symbol is eps_ijk = (i - j)(j - k)(k - i)/2."""
     e3 = FrameVector(0.0, 0.0, 1.0)
+    frame = (FrameVector(1, 0, 0), FrameVector(0, 1, 0), e3)
+    i, j, k = np.indices((3, 3, 3))
+    eps = (i - j) * (j - k) * (k - i) / 2
     points = [
         NilPoint(0.0, 0.0, 0.0),
         NilPoint(1.0, 2.0, 0.0),
@@ -321,9 +318,10 @@ def check_reeb_lorentz() -> CheckResult:
         NilPoint(0.5, -0.25, 2.0),
     ]
     devs = [contact_form(p, frame_to_coord(p, e3)) - 1.0 for p in points]
-    devs.extend(astuple(lorentz(e3)))
-    for f in (FrameVector(1, 0, 0), FrameVector(0, 1, 0), e3):
-        devs.extend(np.subtract(astuple(cross(e3, f)), astuple(lorentz(f))))
+    # rows 0-2 hold cross(E_i, .) on the frame, row 3 lorentz
+    got = [[astuple(cross(u, v)) for v in frame] for u in frame]
+    got.append([astuple(lorentz(v)) for v in frame])
+    devs.extend(np.subtract(got, [*eps, eps[2]]).ravel())
     return _result("reeb_lorentz_identities", np.abs(devs), 0.0)
 
 
@@ -413,27 +411,33 @@ def _serialise(fields: tuple[str, ...], rows: np.ndarray, fmt: str) -> str:
     return head + sep.join([row] * len(rows)) % tuple(rows.ravel().tolist()) + tail
 
 
-def run_emit(args: argparse.Namespace) -> str:
-    return _serialise(_EMIT_FIELDS, _emit_rows(args), args.format)
+def run_emit(args: argparse.Namespace) -> tuple[str, int]:
+    return _serialise(_EMIT_FIELDS, _emit_rows(args), args.format), 0
 
 
 def _generator(args: argparse.Namespace) -> OscVector:
     return OscVector(args.w1, args.w2, args.w3, args.w4)
 
 
-def run_orbit(args: argparse.Namespace) -> str:
+def run_orbit(args: argparse.Namespace) -> tuple[str, int]:
     coords = orbit_grid(_generator(args), args.s_max, args.steps)
     s = np.arange(args.steps + 1) * args.s_max / args.steps
-    return _serialise(_ORBIT_FIELDS, np.column_stack((s, coords)), args.format)
+    return _serialise(_ORBIT_FIELDS, np.column_stack((s, coords)), args.format), 0
 
 
-def run_criterion(args: argparse.Namespace) -> str:
+def run_criterion(args: argparse.Namespace) -> tuple[str, int]:
     res = go_criterion(_generator(args), args.decomposition)
     if args.format == "json":
-        return json.dumps(asdict(res), indent=2) + "\n"
+        return json.dumps(asdict(res), indent=2) + "\n", 0
     # a header and one row; a missing k or family is an empty field
     k = "" if res.k is None else repr(res.k)
-    return f"is_pregeodesic,k,family\n{str(res.is_pregeodesic).lower()},{k},{res.family or ''}\n"
+    row = f"{str(res.is_pregeodesic).lower()},{k},{res.family or ''}"
+    return f"is_pregeodesic,k,family\n{row}\n", 0
+
+
+def run_verify(args: argparse.Namespace) -> tuple[str, int]:
+    checks = run_checks(args.seed, 1.0 + args.fault_j)
+    return report_json(checks), 0 if all(c.passed for c in checks) else 1
 
 
 def _validate(args: argparse.Namespace) -> None:
@@ -553,33 +557,28 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the verification suite")
     verify.add_argument("--seed", type=int, default=0, help="sweep seed (PCG64)")
     verify.add_argument("--fault-j", type=float, default=0.0, help=argparse.SUPPRESS)
+    verify.set_defaults(run=run_verify, out=None)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         _validate(args)
-        if args.command != "verify":
-            # overflow shows up as a non-finite output value, which
-            # _serialise rejects, so numpy's warnings are not needed
-            with np.errstate(all="ignore"):
-                text = args.run(args)
-            if args.out is not None:
-                with open(args.out, "w") as fh:
-                    fh.write(text)
+        # overflow gives a non-finite value, which _serialise rejects and
+        # _result fails, so numpy's warnings are not needed
+        with np.errstate(all="ignore"):
+            text, code = args.run(args)
+        if args.out is not None:
+            with open(args.out, "w") as fh:
+                fh.write(text)
     except (DomainError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.command == "verify":
-        checks = run_checks(args.seed, 1.0 + args.fault_j)
-        sys.stdout.write(report_json(checks))
-        return 0 if all(c.passed for c in checks) else 1
     if args.out is None:
         sys.stdout.write(text)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -81,9 +81,7 @@ def homogeneous_generator(
 
     The rotation coefficient is c + q: c from the contact part of the
     velocity, q from the magnetic coupling.  j_strength rescales the
-    coupling; leave it at 1.  Only the benchmark (perfbench/workloads.py)
-    still passes it, as the fifth positional argument; the library's own
-    fault injection scales the charge q instead.
+    coupling, c + q * j_strength; verify's fault injection sets it.
     """
     return OscVector(a, b, c, c + q * j_strength)
 
@@ -165,7 +163,7 @@ def orbit_grid(w, s_max: float, steps: int) -> np.ndarray:
 
     # one matrix_exp per generator, though it takes the whole stack: the
     # benchmark's sweep self-test pins its call count to one per generator
-    # until the next benchmark change (ROADMAP item 1)
+    # until the next benchmark change (ROADMAP item 6)
     step_gens = algebra_matrix(OscVector(*(ds * rows.T)))
     step_mats = np.array([matrix_exp(m) for m in step_gens]).reshape(step_gens.shape)
 

@@ -155,6 +155,38 @@ def test_wrong_generator_coefficient_fails_homogeneity(monkeypatch):
     assert not check_orbit_formulas(SEED, n=50).passed
 
 
+def test_wrong_cross_sign_fails_reeb_lorentz(monkeypatch):
+    """The check must compare cross on every frame pair: a sign error in
+    a term that cross(E3, .) never reads has to fail it."""
+
+    def wrong(v, w):
+        return FrameVector(
+            v.b * w.c - v.c * w.b,
+            v.c * w.a + v.a * w.c,
+            v.a * w.b - v.b * w.a,
+        )
+
+    monkeypatch.setattr(cli_reporting, "cross", wrong)
+    assert not check_reeb_lorentz().passed
+
+
+def test_wrong_family_name_fails_go_grid(monkeypatch):
+    """The grid must compare each accepted point's family name: the rule
+    with |w4 + w3| for |w4 - w3| accepts the same points and has to fail."""
+
+    def wrong(w, decomposition):
+        res = go_criterion(w, decomposition)
+        rotation = np.where(w.e3 == 0, "W4*E4", "W3*E3+W4*E4")
+        near = np.maximum(np.abs(w.e1), np.abs(w.e2)) <= np.abs(w.e4 + w.e3)
+        family = np.where(near, rotation, "W1*E1+W2*E2+W3*(E3+E4)")
+        return replace(res, family=np.where(res.is_pregeodesic, family, None))
+
+    monkeypatch.setattr(cli_reporting, "go_criterion", wrong)
+    result = check_go_grid()
+    assert not result.passed
+    assert result.max_error == 1.0
+
+
 def test_wrong_contact_cosine_fails_the_contact_angle(monkeypatch):
     """The sweep must read the contact cosine from coord_to_frame: a 2%
     error in its twist term has to fail the conservation check."""

@@ -538,6 +538,17 @@ class TestVerify:
         _validate(args)
         assert math.isnan(args.fault_j)
 
+    def test_overflowing_fault_writes_no_warning(self, capsys, monkeypatch):
+        # verify runs under main's errstate like every command: an
+        # overflowing coupling fails its check and writes nothing to stderr
+        def overflowing_checks(seed, j_strength):
+            return [_result("homogeneity_magnetic", np.array([2.0]) * j_strength, 1e-9)]
+
+        monkeypatch.setattr(cli_reporting, "run_checks", overflowing_checks)
+        code, out, err = run_cli(capsys, "verify", "--fault-j", "1e308")
+        assert code == 1 and json.loads(out)["pass"] is False
+        assert err == ""
+
     def test_rejects_negative_seed(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--seed", "-1")
         assert code == 2

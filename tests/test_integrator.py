@@ -20,7 +20,7 @@ from nilmag import (
     magnetic_point_from,
     magnetic_velocity,
 )
-from nilmag.cli_reporting import check_ode_sweep
+from nilmag.cli_reporting import _SWEEP_H, check_ode_sweep
 from nilmag.integrator import _rhs, _step, batch_step, rk4_states
 
 ORIGIN = NilPoint(0.0, 0.0, 0.0)
@@ -318,6 +318,6 @@ class TestBlockedSweep:
         ],
     )
     def test_matches_stepwise_sweep_exactly(self, n, s_max):
-        results = check_ode_sweep(11, n=n, h=1e-3, s_max=s_max)
-        assert [r.max_error for r in results] == stepwise_ode_sweep(11, n, 1e-3, s_max)
+        results = check_ode_sweep(11, n=n, s_max=s_max)
+        assert [r.max_error for r in results] == stepwise_ode_sweep(11, n, _SWEEP_H, s_max)
         assert all(r.max_error > 0.0 for r in results)
