@@ -151,7 +151,10 @@ def orbit_grid(w, s_max: float, steps: int) -> np.ndarray:
     its columns 1 .. m, about log2(steps) products in all.
     """
     is_vector = isinstance(w, OscVector)
-    rows = np.asarray(astuple(w) if is_vector else w, dtype=float)
+    try:
+        rows = np.asarray(astuple(w) if is_vector else w, dtype=float)
+    except ValueError as exc:  # ragged nesting or a non-numeric entry
+        raise ShapeError(f"not 4 numeric components or an (n, 4) stack: {exc}") from None
     if rows.shape[-1:] != (4,) or rows.ndim > (1 if is_vector else 2):
         raise ShapeError(f"expected 4 components or an (n, 4) stack, got shape {rows.shape}")
     if not (isinstance(steps, numbers.Integral) and steps >= 1):

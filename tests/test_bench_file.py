@@ -1,0 +1,61 @@
+"""The newest committed BENCH_<n>.json, written by tools/bench_file.py,
+holds every metric that BENCHMARK.json declares, finite, for every
+workload."""
+
+import importlib.util
+import json
+import math
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def newest_bench_file():
+    files = {int(m[1]): p for p in ROOT.glob("BENCH_*.json")
+             if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name))}
+    assert files, "no BENCH_<n>.json at the root of the repo"
+    return files[max(files)]
+
+
+def test_newest_bench_file_declares_every_metric():
+    bench = json.loads(newest_bench_file().read_text())
+    assert bench["seconds"] >= 15 and bench["repeats"] >= 3
+    assert "src_nilmag_lines" in bench["environment"]
+    for workload in (w["name"] for w in DECLARED["workloads"]):
+        entry = bench["workloads"][workload]
+        for m in DECLARED["end_to_end"]:
+            got = entry["end_to_end"][m["name"]]
+            assert len(got["values"]) == bench["repeats"], (workload, m["name"])
+            for key in ("median", "q1", "q3"):
+                assert math.isfinite(got[key]), (workload, m["name"], key)
+            assert got["q1"] <= got["median"] <= got["q3"], (workload, m["name"])
+        for m in DECLARED["per_layer"]:
+            assert math.isfinite(entry["per_layer"][m["name"]]["value"]), (workload, m["name"])
+
+
+def _writer():
+    spec = importlib.util.spec_from_file_location("bench_file", ROOT / "tools" / "bench_file.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _result(**metrics):
+    return {"result": {"metrics": {k: {"value": v, "unit": "s"} for k, v in metrics.items()},
+                       "attempted": 1, "failed": 0}}
+
+
+@pytest.mark.parametrize("value", [None, math.nan, math.inf])
+def test_writer_names_a_missing_or_non_finite_metric(value):
+    writer = _writer()
+    declared = {"end_to_end": [{"name": "wall_s", "unit": "s"}],
+                "per_layer": [{"name": "busy_s", "unit": "s"}]}
+    good = _result(wall_s=1.0, busy_s=2.0)
+    bad = _result(wall_s=1.0) if value is None else _result(wall_s=1.0, busy_s=value)
+    assert writer.summarise(declared, [good] * 3, good, "w")["per_layer"]["busy_s"]["value"] == 2.0
+    with pytest.raises(writer.MetricError, match="busy_s"):
+        writer.summarise(declared, [good] * 3, bad, "w")

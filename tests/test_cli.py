@@ -71,6 +71,9 @@ GOLDEN_RUNS = {
                   "--s-max", "5", "--steps", "50"),
     "orbit": ("orbit", "--w1", "1", "--w2", "0", "--w3", "1", "--w4", "1",
               "--s-max", "6.28", "--steps", "50"),
+    # ds W has 1-norm 1.56: each step exponential squares twice (s = 2)
+    "orbit_squared": ("orbit", "--w1", "0.3", "--w2", "-0.7", "--w3", "0.5", "--w4", "1.9",
+                      "--s-max", "60", "--steps", "100"),
     "criterion": ("criterion", "--w1", "0", "--w2", "0", "--w3", "1", "--w4", "1"),
     "criterion_m": ("criterion", "--w1", "1", "--w2", "0", "--w3", "1", "--w4", "0",
                     "--decomposition", "m"),

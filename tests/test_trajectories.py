@@ -424,6 +424,15 @@ class TestGrids:
         with pytest.raises(ShapeError):
             orbit_grid(w, 2.0, 4)
 
+    def test_orbit_grid_rejects_ragged_stack(self):
+        # numpy's own ValueError used to escape
+        with pytest.raises(ShapeError):
+            orbit_grid([[1, 0, 1], [1, 0, 1, 1]], 1.0, 2)
+
+    def test_orbit_grid_rejects_oscvector_with_ragged_field(self):
+        with pytest.raises(ShapeError):
+            orbit_grid(OscVector(np.array([1.0, 2.0]), 0.0, 0.0, 0.0), 1.0, 2)
+
     def test_orbit_grid_batch(self):
         w1 = homogeneous_generator(1.0, 0.0, 0.0, 1.0)
         w2 = homogeneous_generator(0.0, 0.0, 1.0, 0.0)
