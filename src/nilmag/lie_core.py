@@ -207,12 +207,13 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     degree 15 (_TAYLOR_DEGREE), whose truncation error is below
     0.5^16/16! ~ 7e-19, evaluated by Horner in A^4 over the powers I, A,
     A^2, A^3; the result is squared s times.  A slice of a stack gets the
-    same bits as its own 2-D call.
+    same bits as its own 2-D call, and any layout gets the bits of its
+    C-order copy.
 
     Accuracy against 50-digit mpmath, as max error / max(1, max |exp A|):
     below 3e-16 for the orbit step generators (1-norm up to 2), about
     1e-14 for random 4x4 matrices with entries up to 30 (s = 7).
-    Cost: 7 + s matrix products, with no per-term test.  A C-order matrix
+    Cost: 7 + s matrix products, with no per-term test.  One matrix
     takes its products from np.ndarray.dot: about 21 us per 4x4 call on a
     2-core Xeon (30 us via np.matmul); a stack runs the core once through
     np.matmul, then squaring k on the matrices with s > k: 1000 4x4, ~1 ms.
@@ -222,7 +223,7 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     the other matrices of its stack are not affected.
     """
     try:
-        a = np.asarray(m, dtype=float)
+        a = np.asarray(m, dtype=float, order="C")  # one layout, one set of bits
     except ValueError as exc:  # ragged nesting or a non-numeric entry
         raise ShapeError(f"not a numeric array of shape (..., n, n): {exc}") from None
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
@@ -231,17 +232,15 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     # read exactly off the binary exponent (norm / 0.5 may overflow);
     # ldexp divides exactly by 2^s, even past 2^1023
     if a.ndim == 2:  # Python floats and ndarray.dot: cheaper on one matrix
-        # column sums in numpy's axis -2 order: row by row on C order (not
-        # builtin sum(), compensated from Python 3.12), else numpy's own sum
-        rows = np.abs(a)
-        sums = list(reduce(_add_rows, rows.tolist()) if a.flags.c_contiguous else rows.sum(0))
+        # column sums row by row as numpy's axis -2 sum (builtin sum() is compensated)
+        sums = list(reduce(_add_rows, np.abs(a).tolist()))
         if not all(map(math.isfinite, sums)):
             return np.full(a.shape, np.nan)
         frac, exp2 = math.frexp(max(sums))  # norm = frac * 2^exp2, 0.5 <= frac < 1
         s = max(0, exp2 + (frac > 0.5))
         if s:
             a = np.ldexp(a, -s)
-        mul = np.ndarray.dot if a.flags.c_contiguous else np.matmul  # same bits on C order only
+        mul = np.ndarray.dot
     else:
         norm = np.abs(a).sum(axis=-2).max(axis=-1)
         bad = ~np.isfinite(norm)  # those matrices run as zeros, then NaN

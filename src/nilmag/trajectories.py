@@ -82,7 +82,9 @@ def homogeneous_generator(
     The rotation coefficient is c + q: c from the contact part of the
     velocity, q from the magnetic coupling.  j_strength rescales the
     coupling, c + q * j_strength; verify's fault injection sets it.
+    Raises DomainError unless (a, b, c) is a unit vector.
     """
+    _require_unit(a, b, c)
     return OscVector(a, b, c, c + q * j_strength)
 
 

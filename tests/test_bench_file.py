@@ -6,7 +6,9 @@ import importlib.util
 import json
 import math
 import re
+import subprocess
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,6 +27,7 @@ def test_newest_bench_file_declares_every_metric():
     bench = json.loads(newest_bench_file().read_text())
     assert bench["seconds"] >= 15 and bench["repeats"] >= 3
     assert "src_nilmag_lines" in bench["environment"]
+    assert bench["tier1"]["exit_code"] == 0 and bench["tier1"]["failed"] == 0
     for workload in (w["name"] for w in DECLARED["workloads"]):
         entry = bench["workloads"][workload]
         for m in DECLARED["end_to_end"]:
@@ -59,3 +62,18 @@ def test_writer_names_a_missing_or_non_finite_metric(value):
     assert writer.summarise(declared, [good] * 3, good, "w")["per_layer"]["busy_s"]["value"] == 2.0
     with pytest.raises(writer.MetricError, match="busy_s"):
         writer.summarise(declared, [good] * 3, bad, "w")
+
+
+def test_writer_stops_on_a_failing_tier1_run(monkeypatch, tmp_path, capsys):
+    writer = _writer()
+    done = subprocess.CompletedProcess([], 1, stdout="F.E\n3 passed, 1 failed, 2 errors in 1.0s\n")
+    monkeypatch.setattr(writer, "subprocess", SimpleNamespace(run=lambda *a, **k: done))
+    tier1 = writer.run_tier1()
+    assert (tier1["passed"], tier1["failed"], tier1["errors"], tier1["exit_code"]) == (3, 1, 2, 1)
+    # the benchmark runs pass; the failing Tier-1 run alone stops the file
+    monkeypatch.setattr(writer, "run_benchmark", lambda *a: {"environment": {}})
+    monkeypatch.setattr(writer, "summarise", lambda *a: {})
+    out = tmp_path / "BENCH_0.json"
+    assert writer.main([str(out)]) == 1
+    assert not out.exists()
+    assert "tier-1 tests exited with code 1" in capsys.readouterr().err

@@ -329,18 +329,20 @@ class TestMatrixExp:
         for m, one in zip(stack, got):
             assert np.array_equal(one, matrix_exp(m))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 33])
     def test_one_matrix_has_the_bits_of_its_stack_slice(self, n):
         # the one-matrix path computes its norm and products apart from
-        # the stack path; these draws reach every s from 0 to 11
+        # the stack path, and every layout must give the bits of its C
+        # order copy; these draws reach every s from 0 to 11
         rng = np.random.default_rng([2005, n])
         cases = []
         for norm1 in 10.0 ** rng.uniform(-6.0, 3.0, 60):
             m = rng.uniform(-1.0, 1.0, (n, n))
             cases.append(m * (norm1 / np.abs(m).sum(axis=0).max()))
         # dyadic entries, one column with the single entry +-32 and the
-        # others summing to at most 24: its sum is exactly 0.5 * 2^k, where
-        # s steps from k to k + 1, and stays exact one ulp either side
+        # others summing to at most 3n (24 up to n = 8): its sum is exactly
+        # 0.5 * 2^k, where s steps from k to k + 1, and stays exact one ulp
+        # either side
         for k in range(-3, 11):
             m = rng.integers(-3, 4, (n, n)).astype(float)
             j = rng.integers(n)
@@ -350,11 +352,15 @@ class TestMatrixExp:
             cases += [m, m * np.nextafter(1.0, 0.0), m * np.nextafter(1.0, 2.0)]
         # a column 1, 2^-53, 2^-53, ...: row by row it sums to 1 (s = 1); a
         # compensated sum, as builtin sum() from Python 3.12, gives s = 2,
-        # and so does numpy's pairwise sum down a contiguous column of 8
+        # and so does numpy's pairwise sum down a contiguous column of 8,
+        # as in the Fortran order copy
         rounding = np.zeros((n, n))
         rounding[:, 0] = [1.0] + [2.0**-53] * (n - 1)
         cases.append(rounding)
-        cases += [v for m in cases for v in (m.T, m.T[::-1])]  # non-contiguous views
+        # the same values in other layouts, negative strides included: at
+        # n = 33 np.ndarray.dot and np.matmul multiply many of them apart
+        fortran = [np.asfortranarray(m) for m in cases]
+        cases += [v for m, f in zip(cases, fortran) for v in (f, m.T, m.T[::-1], f[:, ::-1])]
         for value in (math.nan, math.inf, -math.inf):
             m = rng.uniform(-1.0, 1.0, (n, n))
             m[rng.integers(n), rng.integers(n)] = value
@@ -372,17 +378,6 @@ class TestMatrixExp:
             assert np.array_equal(one, contiguous, equal_nan=True)
             if not np.all(np.isfinite(m)):
                 assert np.all(np.isnan(one))
-        # in Fortran order numpy sums that column pairwise from n = 8 on, so
-        # the matrix may differ from its C order copy, never from its slice
-        fortran = np.asfortranarray(rounding)
-        assert np.array_equal(matrix_exp(fortran), matrix_exp(fortran[None])[0])
-
-    def test_strided_view_has_the_bits_of_its_stack_slice(self):
-        # np.ndarray.dot and np.matmul differ on a 33x33 view with a negative
-        # stride, which s = 0 passes to the products as it is
-        m = np.random.default_rng(2005).uniform(-1.0, 1.0, (33, 33)) * 1e-2
-        for view in (m.T[::-1], np.asfortranarray(m)[:, ::-1]):
-            assert np.array_equal(matrix_exp(view), matrix_exp(view[None])[0])
 
     def test_empty_stack_gives_empty_stack(self):
         got = matrix_exp(np.zeros((0, 4, 4)))

@@ -247,6 +247,12 @@ class TestHomogeneousGenerator:
         w = homogeneous_generator(0.0, 1.0, 0.0, 2.0, j_strength=0.5)
         assert w.e4 == 1.0
 
+    @pytest.mark.parametrize("a, b, c", [(1.0, 1.0, 1.0), (math.nan, 0.0, 1.0)])
+    def test_rejects_non_unit_velocity(self, a, b, c):
+        # as magnetic_point does: every trajectory starts with unit speed
+        with pytest.raises(DomainError):
+            homogeneous_generator(a, b, c, 0.0)
+
 
 class TestOrbitEndpoint:
     """The orbit point exp(s W).o, the last row of the one-step orbit_grid."""
@@ -402,6 +408,12 @@ class TestGrids:
         monkeypatch.setattr(trajectories, "matrix_exp", counting)
         orbit_grid(np.random.default_rng(n).uniform(-2.0, 2.0, (n, 4)), 5.0, 9)
         assert calls == [(4, 4)] * n
+
+    def test_orbit_grid_has_the_bits_of_its_c_order_copy(self):
+        fortran = np.asfortranarray(np.random.default_rng(23).uniform(-2.0, 2.0, (9, 4)))
+        for w in (fortran, fortran[::-1]):
+            copy = np.ascontiguousarray(w)
+            assert np.array_equal(orbit_grid(w, 5.0, 50), orbit_grid(copy, 5.0, 50))
 
     @pytest.mark.parametrize("steps", [0, -1])
     def test_orbit_grid_rejects_fewer_than_one_step(self, steps):

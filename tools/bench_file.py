@@ -13,9 +13,10 @@ Tier-1 test command once and records its wall time and counts.  That run
 deselects the one test that reads the newest BENCH file
 (TIER1_DESELECTED), since the file it is writing does not exist yet.
 
-If any declared metric is missing or not finite, it names the metric,
-exits with code 1 and writes nothing.  A whole run takes about 3.2
-minutes on a 2-core Xeon.
+If any declared metric is missing or not finite, or the Tier-1 command
+exits with a code other than 0, it names the failure, exits with code 1
+and writes nothing.  A whole run takes about 3.2 minutes on a 2-core
+Xeon.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def run_tier1() -> dict:
     )
     wall = time.perf_counter() - t0
     summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
-    counts = {k: int(n) for n, k in re.findall(r"(\d+) (passed|failed|skipped|errors?)", summary)}
+    counts = {k: int(n) for n, k in re.findall(r"(\d+) (passed|failed|skipped|error)", summary)}
     return {
         "command": "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors",
         "deselected": [TIER1_DESELECTED],
@@ -130,6 +131,7 @@ def run_tier1() -> dict:
         "passed": counts.get("passed", 0),
         "failed": counts.get("failed", 0),
         "skipped": counts.get("skipped", 0),
+        "errors": counts.get("error", 0),
         "summary": summary,
     }
 
@@ -152,6 +154,10 @@ def main(argv=None) -> int:
         return 1
     print("$ tier-1 tests", file=sys.stderr, flush=True)
     tier1 = run_tier1()
+    if tier1["exit_code"] != 0:
+        print(f"error: tier-1 tests exited with code {tier1['exit_code']} "
+              f"({tier1['summary']}); nothing written", file=sys.stderr)
+        return 1
 
     bench = {
         "benchmark": " ".join(declared["command"]),
