@@ -121,10 +121,8 @@ def check_orbit_formulas(seed: int, n: int = 500) -> CheckResult:
     """
     rng = np.random.default_rng([seed, 3])
     vel = _unit_velocities(rng, n)
-    bad = np.abs(vel[:, 2]) < 0.05
-    while np.any(bad):
+    while np.any(bad := np.abs(vel[:, 2]) < 0.05):
         vel[bad] = _unit_velocities(rng, int(bad.sum()))
-        bad = np.abs(vel[:, 2]) < 0.05
     a, b, c = vel[:, 0:1], vel[:, 1:2], vel[:, 2:3]
 
     s = np.linspace(0.0, 10.0, 101)
@@ -470,44 +468,25 @@ def _validate(args: argparse.Namespace) -> None:
         args.a, args.b, args.c = args.a / norm, args.b / norm, args.c / norm
 
 
-def _is_float(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
-class _CommandParser(argparse.ArgumentParser):
-    """A subcommand's parser whose float flags take any negative float.
-
-    argparse reads a value that starts with '-' as an option unless it
-    looks like -1 or -.5, so `--q -8e-1` or `--w1 -inf` would fail with
-    "expected one argument".  Such a value after one of this parser's
-    float flags is joined to it as `--q=-8e-1`, which argparse reads as
-    the flag's value; -inf and nan still reach _validate.
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with `--q -8e-1` joined as `--q=-8e-1`, which argparse reads
+    as the flag's value: on its own it reads only -1 or -.5 that way and
+    takes any other token that starts with '-' for an option.  Each such
+    token that float() reads is joined to a long flag before it, other
+    than --help and one with '=' in it; the flag's type then checks it.
     """
-
-    def __init__(self, *args, **kwargs):
-        self.float_flags = set()
-        super().__init__(*args, **kwargs)
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        if action.type is float:
-            self.float_flags.update(action.option_strings)
-        return action
-
-    def parse_known_args(self, args, namespace=None):
-        # the parent parser hands a subcommand its argument list
-        joined = []
-        for arg in args:
-            negative = arg.startswith("-") and _is_float(arg)
-            if negative and joined and joined[-1] in self.float_flags:
-                joined[-1] += "=" + arg
-            else:
-                joined.append(arg)
-        return super().parse_known_args(joined, namespace)
+    joined = []
+    for arg in argv:
+        prev = joined[-1] if joined else ""
+        try:
+            negative = arg.startswith("-") and float(arg) is not None  # or ValueError
+        except ValueError:
+            negative = False
+        if negative and prev.startswith("--") and prev not in ("--", "--help") and "=" not in prev:
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -516,7 +495,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Magnetic trajectories on the Heisenberg group: "
         "closed forms, group orbits, and a verification suite.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    sub = parser.add_subparsers(dest="command", required=True)
     # the run_* names are looked up here, at call time, so a wrapper
     # installed on the module (the benchmark's tracer) is the one called
 
@@ -562,7 +541,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_join_negative_values(argv))
     try:
         _validate(args)
         # overflow gives a non-finite value, which _serialise rejects and

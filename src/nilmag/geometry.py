@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .lie_core import NilPoint, OscVector, bracket
+from .errors import DomainError, ShapeError
+from .lie_core import NilPoint, OscVector, _real_array, bracket
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,19 @@ class FrameVector:
     c: float
 
 
-def _require_unit(a, b, c):
-    # the one unit-speed test; written so that a NaN component fails it
+def _require_unit(a, b, c, *others) -> list[np.ndarray]:
+    """The one unit-speed test: a, b, c and others as float arrays, with
+    DomainError for complex input or unless (a, b, c) is a unit vector (a
+    NaN fails), and ShapeError unless they all broadcast together."""
+    arrays = [_real_array(w, DomainError) for w in (a, b, c, *others)]
+    try:
+        np.broadcast(*arrays)
+    except ValueError as exc:
+        raise ShapeError(f"inputs do not broadcast together: {exc}") from None
+    a, b, c = arrays[:3]
     if not np.all(np.abs(a * a + b * b + c * c - 1.0) <= 1e-12):
         raise DomainError("velocity components must be unit vectors")
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -229,10 +238,15 @@ def go_criterion(w: OscVector, decomposition: str = "nil3") -> CriterionResult:
     NaN and family an object array with None where w is rejected.  Scalar
     fields give a bool, a float or None, and a name or None.
 
-    Raises DomainError when a component of w, or its squared norm, is not
-    finite, or when decomposition is not a key of DECOMPOSITIONS.
+    Raises DomainError when a component of w is complex, or it or its
+    squared norm is not finite, or when decomposition is not a key of
+    DECOMPOSITIONS; ShapeError when the fields of w do not broadcast.
     """
-    comps = np.array(np.broadcast_arrays(w.e1, w.e2, w.e3, w.e4), dtype=float)
+    try:
+        fields = np.broadcast_arrays(w.e1, w.e2, w.e3, w.e4)
+    except ValueError as exc:
+        raise ShapeError(f"generator fields do not broadcast together: {exc}") from None
+    comps = _real_array(fields, DomainError)
     # products, not **, so that an overflow gives inf instead of raising
     with np.errstate(over="ignore"):
         if not np.all(np.isfinite((comps * comps).sum(axis=0))):

@@ -36,7 +36,7 @@ class InitialData:
     q: float = 0.0
 
     def __post_init__(self):
-        _require_unit(self.velocity.a, self.velocity.b, self.velocity.c)
+        _require_unit(self.velocity.a, self.velocity.b, self.velocity.c, self.q)
 
 
 @dataclass(frozen=True)
@@ -50,10 +50,8 @@ class StepConfig:
         # written so that a NaN step fails the test
         if not 0.0 < self.h < math.inf:
             raise DomainError("step size must be positive and finite")
-        if not isinstance(self.n, numbers.Integral):
-            raise DomainError("step count must be an integer")
-        if self.n < 0:
-            raise DomainError("step count must be nonnegative")
+        if not (isinstance(self.n, numbers.Integral) and self.n >= 0):
+            raise DomainError("step count must be a nonnegative integer")
 
 
 def _rhs(x, y, z, vx, vy, vz, q):

@@ -148,11 +148,11 @@ def matrix_to_osc(m: np.ndarray, t_hint: float = 0.0) -> OscElement:
     of 2*pi that lands nearest t_hint, so a caller tracking a continuous
     curve can keep t unwrapped.
 
-    Raises ShapeError when m has a non-finite entry or does not have the
-    expected structure (zero pattern, unit corners, orthogonal rotation
+    Raises ShapeError when m is complex, has a non-finite entry or lacks
+    the expected structure (zero pattern, unit corners, orthogonal rotation
     block, first row consistent with the last column) within 1e-9.
     """
-    a = np.asarray(m, dtype=float)
+    a = _real_array(m)
     if a.shape != (4, 4):
         raise ShapeError(f"expected a 4x4 matrix, got shape {a.shape}")
     # the structure tests below compare with >, which a NaN passes
@@ -194,21 +194,34 @@ _TAYLOR_BLOCKS = np.array(
     [1.0 / math.factorial(k) for k in range(_TAYLOR_DEGREE + 1)]
 ).reshape(-1, 4)
 _add_rows = partial(map, operator.add)  # reduce(_add_rows, rows): column sums
+_FLOAT = np.dtype(float)
+
+
+def _real_array(x, error: type[ValueError] = ShapeError) -> np.ndarray:
+    """x as a C-order float array, or error for complex input (numpy would
+    keep its real part with a mere warning) and non-numeric input."""
+    try:
+        a = np.asarray(x, order="C")
+        if a.dtype.kind == "c":
+            raise TypeError("complex input")
+        return a if a.dtype is _FLOAT else np.asarray(a, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise error(f"not a real numeric array: {exc}") from None
 
 
 def matrix_exp(m: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring with a fixed Taylor core.
 
     Takes one square matrix (n, n) or a stack (..., n, n) with n >= 1;
-    an empty stack gives an empty stack, any other shape raises
-    ShapeError.  Each matrix A gets its own scaling: A is divided by 2^s
-    with s = ceil(log2(||A||_1 / 0.5)), or s = 0 when ||A||_1 <= 0.5, so
-    the scaled matrix has 1-norm <= 0.5.  Core: the Taylor polynomial of
-    degree 15 (_TAYLOR_DEGREE), whose truncation error is below
-    0.5^16/16! ~ 7e-19, evaluated by Horner in A^4 over the powers I, A,
-    A^2, A^3; the result is squared s times.  A slice of a stack gets the
-    same bits as its own 2-D call, and any layout gets the bits of its
-    C-order copy.
+    an empty stack gives an empty stack, any other shape or complex
+    input raises ShapeError.  Each matrix A gets its own scaling: A is
+    divided by 2^s with s = ceil(log2(||A||_1 / 0.5)), or s = 0 when
+    ||A||_1 <= 0.5, so the scaled matrix has 1-norm <= 0.5.  Core: the
+    Taylor polynomial of degree 15 (_TAYLOR_DEGREE), whose truncation
+    error is below 0.5^16/16! ~ 7e-19, evaluated by Horner in A^4 over the
+    powers I, A, A^2, A^3; the result is squared s times.  A slice of a
+    stack gets the same bits as its own 2-D call, and any layout gets the
+    bits of its C-order copy.
 
     Accuracy against 50-digit mpmath, as max error / max(1, max |exp A|):
     below 3e-16 for the orbit step generators (1-norm up to 2), about
@@ -222,10 +235,7 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     back all-NaN instead of raising, so a NaN reaches the caller's checks;
     the other matrices of its stack are not affected.
     """
-    try:
-        a = np.asarray(m, dtype=float, order="C")  # one layout, one set of bits
-    except ValueError as exc:  # ragged nesting or a non-numeric entry
-        raise ShapeError(f"not a numeric array of shape (..., n, n): {exc}") from None
+    a = _real_array(m)  # one layout, one set of bits
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
         raise ShapeError(f"expected square matrices (..., n, n), got shape {a.shape}")
     # s = ceil(log2(norm / 0.5)), the fewest halvings to a 1-norm <= 0.5,

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .geometry import FrameVector, _require_unit
-from .lie_core import NilPoint, OscVector, algebra_matrix, matrix_exp, nil_multiply
+from .lie_core import NilPoint, OscVector, _real_array, algebra_matrix, matrix_exp, nil_multiply
 
 # Taylor coefficients of K3, (-1)^k / (2k+3)!; enough terms for |u| < 0.5
 _K3_COEFFS = [(-1.0) ** k / math.factorial(2 * k + 3) for k in range(8)]
@@ -40,7 +40,8 @@ def magnetic_point(a, b, c, q, s) -> NilPoint:
     """Charged trajectory from the origin with initial frame velocity
     (a, b, c), evaluated at arc length s.
 
-    Unit-speed input is required (DomainError otherwise).  q = 0 gives
+    Unit-speed real input is required (DomainError otherwise), and the
+    inputs must broadcast together (ShapeError otherwise).  q = 0 gives
     the geodesic.  Scalar input gives float coordinates; broadcastable
     arrays give arrays of the broadcast shape.
     """
@@ -64,9 +65,9 @@ def magnetic_velocity(a: float, b: float, c: float, q: float, s: float) -> Frame
     """Frame velocity along the charged trajectory at arc length s.
 
     The contact cosine c is a first integral, the planar part rotates at
-    rate q + c.  Broadcasts and rejects non-unit input like magnetic_point.
+    rate q + c.  Broadcasts and rejects bad input like magnetic_point.
     """
-    _require_unit(a, b, c)
+    _require_unit(a, b, c, q, s)
     u = (q + c) * s
     cu = np.cos(u)
     su = np.sin(u)
@@ -82,9 +83,9 @@ def homogeneous_generator(
     The rotation coefficient is c + q: c from the contact part of the
     velocity, q from the magnetic coupling.  j_strength rescales the
     coupling, c + q * j_strength; verify's fault injection sets it.
-    Raises DomainError unless (a, b, c) is a unit vector.
+    Rejects bad input as magnetic_point does, non-unit (a, b, c) included.
     """
-    _require_unit(a, b, c)
+    _require_unit(a, b, c, q, j_strength)
     return OscVector(a, b, c, c + q * j_strength)
 
 
@@ -117,8 +118,7 @@ def _magnetic_xyz(a, b, c, q, s):
     broadcastable inputs; floats for scalar input, else arrays of the
     broadcast shape.  The unit-speed test, q + c and s**3 run at their
     own inputs' shapes, and K1 and K3 share one sin(u)."""
-    a, b, c, q, s = (np.asarray(w, dtype=float) for w in (a, b, c, q, s))
-    _require_unit(a, b, c)
+    a, b, c, q, s = _require_unit(a, b, c, q, s)
     cq = q + c
     u = cq * s
     sin_u = np.sin(u)
@@ -143,8 +143,8 @@ def orbit_grid(w, s_max: float, steps: int) -> np.ndarray:
 
     w is one generator (OscVector of scalars or length-4 array) or a
     stack of shape (n, 4).  Returns (steps+1, 3) or (n, steps+1, 3)
-    accordingly.  Raises ShapeError for any other shape of w, and
-    DomainError unless steps is an integer of at least 1.
+    accordingly.  Raises ShapeError for a complex w or any other shape,
+    and DomainError unless steps is an integer of at least 1.
 
     One matrix exponential M = exp(ds W) per generator.  Only the last
     column M^k e4 of exp(k ds W) is read, so the grid is filled by
@@ -153,10 +153,7 @@ def orbit_grid(w, s_max: float, steps: int) -> np.ndarray:
     its columns 1 .. m, about log2(steps) products in all.
     """
     is_vector = isinstance(w, OscVector)
-    try:
-        rows = np.asarray(astuple(w) if is_vector else w, dtype=float)
-    except ValueError as exc:  # ragged nesting or a non-numeric entry
-        raise ShapeError(f"not 4 numeric components or an (n, 4) stack: {exc}") from None
+    rows = _real_array(astuple(w) if is_vector else w)
     if rows.shape[-1:] != (4,) or rows.ndim > (1 if is_vector else 2):
         raise ShapeError(f"expected 4 components or an (n, 4) stack, got shape {rows.shape}")
     if not (isinstance(steps, numbers.Integral) and steps >= 1):

@@ -28,6 +28,7 @@ from nilmag.cli_reporting import (
     _ORBIT_FIELDS,
     _build_parser,
     _emit_rows,
+    _join_negative_values,
     _result,
     _serialise,
     _validate,
@@ -576,8 +577,31 @@ class TestNegativeFloatValues:
     @pytest.mark.parametrize("text", ["-8e-1", "-1e-05", "-inf"])
     @pytest.mark.parametrize("command, flag", FLOAT_FLAGS)
     def test_every_float_flag_takes_the_value(self, command, flag, text):
-        args = _build_parser().parse_args([command, *REQUIRED.get(command, ()), f"--{flag}", text])
+        argv = [command, *REQUIRED.get(command, ()), f"--{flag}", text]
+        args = _build_parser().parse_args(_join_negative_values(argv))
         assert getattr(args, flag.replace("-", "_")) == float(text)
+
+    def test_help_is_never_joined(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["emit", "--help", "-1"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: nilmag emit")
+
+    def test_abbreviated_flag_takes_the_value(self, capsys):
+        # --s-m is argparse's prefix of --s-max, so the value reaches _validate
+        code, out, err = run_cli(capsys, "emit", "--s-m", "-1e0")
+        assert (code, out, err) == (2, "", "error: s-max must be positive\n")
+
+    def test_int_flag_checks_the_joined_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["emit", "--steps", "-1e3"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "invalid int value: '-1e3'" in err
+
+    def test_only_numbers_after_long_flags_are_joined(self):
+        argv = ["emit", "--q", "-x", "--q=-1", "-2e0", "-h", "-1e0", "--", "-3e0", "--a", "-4e0"]
+        assert _join_negative_values(argv) == [*argv[:9], "--a=-4e0"]
 
     def test_emit_writes_the_bytes_of_the_joined_form(self, capsys):
         flags = ("emit", "--a", "0.6", "--b", "0", "--c", "0.8", "--steps", "20")

@@ -11,6 +11,7 @@ from nilmag import (
     FrameVector,
     NilPoint,
     OscVector,
+    ShapeError,
     connection,
     contact_form,
     coord_to_frame,
@@ -359,6 +360,15 @@ class TestGoCriterion:
     def test_rejects_non_finite_input(self, w, decomposition):
         with pytest.raises(DomainError):
             go_criterion(w, decomposition)
+
+    def test_rejects_complex_generator(self):
+        # OscVector(1j, 0, 0, 0) used to pass as W4*E4 with k = 0
+        with pytest.raises(DomainError, match="complex"):
+            go_criterion(OscVector(1j, 0.0, 0.0, 0.0))
+
+    def test_rejects_fields_that_do_not_broadcast(self):
+        with pytest.raises(ShapeError, match="broadcast"):
+            go_criterion(OscVector(np.ones(2), np.ones(3), 0.0, 0.0))
 
     @pytest.mark.parametrize("decomposition", ["nil", "", ["m"]])
     def test_rejects_unknown_decomposition(self, decomposition):

@@ -94,6 +94,10 @@ class TestInitialData:
         with pytest.raises(DomainError):
             InitialData(ORIGIN, FrameVector(math.nan, 0.0, 1.0))
 
+    def test_rejects_complex_charge(self):
+        with pytest.raises(DomainError, match="complex"):
+            InitialData(ORIGIN, FrameVector(0.6, 0.0, 0.8), 1j)
+
 
 class TestIntegrate:
     def test_vertical_line_long_run(self):

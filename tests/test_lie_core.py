@@ -206,6 +206,11 @@ class TestMatrixForms:
         with pytest.raises(ShapeError):
             matrix_to_osc(m)
 
+    def test_rejects_complex_matrix(self):
+        # the identity plus 0.5j used to read as the identity element
+        with pytest.raises(ShapeError, match="complex"):
+            matrix_to_osc(np.eye(4) + 0.5j)
+
     def test_orbit_of_nan_generator_is_rejected(self):
         with pytest.raises(ShapeError):
             exp_osc(OscVector(math.nan, 0.0, 1.0, 1.0))
@@ -428,6 +433,17 @@ class TestMatrixExp:
     def test_rejects_non_numeric_input(self):
         with pytest.raises(ShapeError, match="numeric"):
             matrix_exp([["a"]])
+
+    @pytest.mark.parametrize(
+        "m",
+        [[[0, 1j], [0, 0]], np.array([[0.0, 0.0], [2j, 0.0]]), np.zeros((3, 2, 2), complex)],
+        ids=["list", "matrix", "real-valued stack"],
+    )
+    def test_rejects_complex_input(self, m):
+        # the imaginary part used to be dropped with only a ComplexWarning,
+        # so [[0, 1j], [0, 0]] came back as the identity; the dtype decides
+        with pytest.raises(ShapeError, match="complex"):
+            matrix_exp(m)
 
 
 class TestExponentials:

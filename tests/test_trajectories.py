@@ -185,6 +185,40 @@ class TestMagneticVelocity:
         assert v.a.shape == v.b.shape == (0,)
 
 
+# (function, arguments) with one complex input each; the real parts
+# are valid input
+COMPLEX_INPUTS = [
+    (magnetic_point, (np.array([0.6 + 0j]), 0.0, 0.8, 0.0, 1.0)),
+    (magnetic_grid, (0.6, 0.0, 0.8, 0.0, np.linspace(0.0, 1.0, 3) + 0j)),
+    (magnetic_velocity, (0.6, 0.0, 0.8, 1j, 1.0)),
+    (homogeneous_generator, (0.6, 0.0, 0.8, 1.0 + 2j)),
+]
+# the same with inputs whose shapes do not broadcast together
+MISMATCHED_INPUTS = [
+    (magnetic_point, (np.full(2, 0.6), np.zeros(3), np.full(2, 0.8), 0.0, 1.0)),
+    (magnetic_grid, (0.6, 0.0, 0.8, np.zeros(2), np.zeros(3))),
+    (magnetic_velocity, (np.full(2, 0.6), np.zeros(3), np.full(2, 0.8), 0.0, 1.0)),
+    (homogeneous_generator, (np.full(2, 0.6), 0.0, np.full(2, 0.8), np.zeros(3))),
+]
+
+
+class TestClosedFormInput:
+    """The closed forms and homogeneous_generator refuse what numpy would
+    truncate or fail on: complex input, or shapes that do not broadcast."""
+
+    @pytest.mark.parametrize("fn, args", COMPLEX_INPUTS,
+                             ids=[f.__name__ for f, _ in COMPLEX_INPUTS])
+    def test_rejects_complex_input(self, fn, args):
+        with pytest.raises(DomainError, match="complex"):
+            fn(*args)
+
+    @pytest.mark.parametrize("fn, args", MISMATCHED_INPUTS,
+                             ids=[f.__name__ for f, _ in MISMATCHED_INPUTS])
+    def test_rejects_inputs_that_do_not_broadcast(self, fn, args):
+        with pytest.raises(ShapeError, match="broadcast"):
+            fn(*args)
+
+
 class TestMagneticPointFrom:
     def test_origin_start_reduces(self):
         got = magnetic_point_from(ORIGIN, 0.8, 0.0, 0.6, 1.9, 2.0)
@@ -444,6 +478,12 @@ class TestGrids:
     def test_orbit_grid_rejects_oscvector_with_ragged_field(self):
         with pytest.raises(ShapeError):
             orbit_grid(OscVector(np.array([1.0, 2.0]), 0.0, 0.0, 0.0), 1.0, 2)
+
+    @pytest.mark.parametrize("w", [[[1, 0.5j, 0, 0]], OscVector(1.0, 0.5j, 0.0, 0.0)])
+    def test_orbit_grid_rejects_complex_generator(self, w):
+        # it used to return the orbit of the real part, (1, 0, 0, 0)
+        with pytest.raises(ShapeError, match="complex"):
+            orbit_grid(w, 1.0, 1)
 
     def test_orbit_grid_batch(self):
         w1 = homogeneous_generator(1.0, 0.0, 0.0, 1.0)
