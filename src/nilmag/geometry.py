@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
-from .lie_core import NilPoint, OscVector, _real_array, bracket
+from .errors import DomainError
+from .lie_core import NilPoint, OscVector, _real_arrays, bracket
 
 
 @dataclass(frozen=True)
@@ -35,14 +35,10 @@ class FrameVector:
 
 
 def _require_unit(a, b, c, *others) -> list[np.ndarray]:
-    """The one unit-speed test: a, b, c and others as float arrays, with
-    DomainError for complex input or unless (a, b, c) is a unit vector (a
-    NaN fails), and ShapeError unless they all broadcast together."""
-    arrays = [_real_array(w, DomainError) for w in (a, b, c, *others)]
-    try:
-        np.broadcast(*arrays)
-    except ValueError as exc:
-        raise ShapeError(f"inputs do not broadcast together: {exc}") from None
+    """The one unit-speed test: a, b, c and others read by _real_arrays,
+    with DomainError for complex input or unless (a, b, c) is a unit vector
+    (a NaN fails)."""
+    arrays = _real_arrays(a, b, c, *others, error=DomainError)
     a, b, c = arrays[:3]
     if not np.all(np.abs(a * a + b * b + c * c - 1.0) <= 1e-12):
         raise DomainError("velocity components must be unit vectors")
@@ -178,21 +174,20 @@ def _coefficients(basis: Sequence[OscVector], *vs: OscVector) -> np.ndarray:
     (4, len(vs)) + S.
 
     The last row is the component along E4; dropping it projects onto
-    the span of the basis along the reductive complement.  Raises
-    DomainError unless basis + [E4] is a basis of the algebra.
+    the span of the basis along the reductive complement.  Fields are
+    read by _real_arrays, with DomainError for a complex one; DomainError
+    also unless basis + [E4] is a basis of the algebra.
     """
     cols = [[b.e1, b.e2, b.e3, b.e4] for b in basis]
     cols.append([0.0, 0.0, 0.0, 1.0])
-    fields = [f for v in vs for f in (v.e1, v.e2, v.e3, v.e4)]
-    shape = np.broadcast(*fields).shape
-    rhs = np.empty((len(vs), 4) + shape)
-    for i, f in enumerate(fields):
-        rhs[divmod(i, 4)] = f
+    fields = _real_arrays(*(f for v in vs for f in (v.e1, v.e2, v.e3, v.e4)), error=DomainError)
+    rhs = np.stack(np.broadcast_arrays(*fields))
+    rows = rhs.reshape(len(vs), 4, -1).swapaxes(0, 1).reshape(4, -1)
     try:
-        sol = np.linalg.solve(np.array(cols).T, rhs.swapaxes(0, 1).reshape(4, -1))
+        sol = np.linalg.solve(np.array(cols).T, rows)
     except np.linalg.LinAlgError:
         raise DomainError("basis + complement is not a basis of the algebra") from None
-    return sol.reshape((4, len(vs)) + shape)
+    return sol.reshape((4, len(vs)) + rhs.shape[1:])
 
 
 def u_tensor(basis: Sequence[OscVector], x: OscVector, y: OscVector) -> OscVector:
@@ -242,14 +237,10 @@ def go_criterion(w: OscVector, decomposition: str = "nil3") -> CriterionResult:
     squared norm is not finite, or when decomposition is not a key of
     DECOMPOSITIONS; ShapeError when the fields of w do not broadcast.
     """
-    try:
-        fields = np.broadcast_arrays(w.e1, w.e2, w.e3, w.e4)
-    except ValueError as exc:
-        raise ShapeError(f"generator fields do not broadcast together: {exc}") from None
-    comps = _real_array(fields, DomainError)
+    comps = _real_arrays(w.e1, w.e2, w.e3, w.e4, error=DomainError)
     # products, not **, so that an overflow gives inf instead of raising
     with np.errstate(over="ignore"):
-        if not np.all(np.isfinite((comps * comps).sum(axis=0))):
+        if not np.all(np.isfinite(sum(f * f for f in comps))):
             raise DomainError("generator components and their squared norm must be finite")
     try:
         basis = DECOMPOSITIONS[decomposition]
@@ -261,7 +252,7 @@ def go_criterion(w: OscVector, decomposition: str = "nil3") -> CriterionResult:
     # underflows
     # math.hypot per generator: numpy has no 4-argument hypot that rounds alike
     norm_u, e = np.frexp(np.array(np.frompyfunc(math.hypot, 4, 1)(*comps), dtype=float))
-    u = OscVector(*np.ldexp(comps, -e))
+    u = OscVector(*(np.ldexp(f, -e) for f in comps))
     coef = _coefficients(basis, u, *(bracket(u, v) for v in basis))[:-1]
     coef = np.moveaxis(coef, (0, 1), (-1, -2))
     um, bu = coef[..., 0, :], coef[..., 1:, :]  # shapes S + (3,) and S + (3, 3)

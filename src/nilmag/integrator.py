@@ -18,13 +18,13 @@ import functools
 import math
 import numbers
 import threading
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
 from .geometry import FrameVector, _require_unit, frame_to_coord
-from .lie_core import NilPoint
+from .lie_core import NilPoint, _real_array
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class InitialData:
     q: float = 0.0
 
     def __post_init__(self):
-        _require_unit(self.velocity.a, self.velocity.b, self.velocity.c, self.q)
+        _require_unit(*astuple(self.velocity), self.q, *astuple(self.start))
 
 
 @dataclass(frozen=True)
@@ -133,11 +133,11 @@ def _workspace(n, thread):
 def batch_step(state, h, q):
     """One RK4 step on a (6, n) state, as a new (6, n) array; q is one
     charge or an array of n.  Each column equals _step on its floats.
-    Raises ShapeError for any other shape of state or q."""
-    state = np.asarray(state)
-    if state.ndim != 2 or state.shape[0] != 6 or (np.ndim(q) and np.shape(q) != state.shape[1:]):
+    Raises ShapeError for complex input or any other shape of state or q."""
+    state, q = _real_array(state), _real_array(q)
+    if state.ndim != 2 or state.shape[0] != 6 or (q.ndim and q.shape != state.shape[1:]):
         raise ShapeError(f"expected a (6, n) state and 1 or n charges, "
-                         f"got shapes {state.shape} and {np.shape(q)}")
+                         f"got shapes {state.shape} and {q.shape}")
     points, slopes, rows, t1, t2 = _workspace(state.shape[1], threading.get_ident())
     hh = 0.5 * h
     np.copyto(points[0], state)

@@ -104,13 +104,10 @@ def osc_multiply(g1: OscElement, g2: OscElement) -> OscElement:
 
 
 def _matrix_stack(*entries) -> np.ndarray:
-    """The 16 row-major entries of a 4x4 matrix, scalars or broadcastable
-    arrays, as one array of shape broadcast(entries) + (4, 4)."""
-    shape = np.broadcast(*entries).shape
-    out = np.empty(shape + (16,))
-    for k, entry in enumerate(entries):
-        out[..., k] = entry
-    return out.reshape(shape + (4, 4))
+    """The 16 row-major entries of a 4x4 matrix, read by _real_arrays, as
+    one array of shape broadcast(entries) + (4, 4)."""
+    out = np.stack(np.broadcast_arrays(*_real_arrays(*entries)), axis=-1)
+    return out.reshape(out.shape[:-1] + (4, 4))
 
 
 def osc_to_matrix(g: OscElement) -> np.ndarray:
@@ -207,6 +204,17 @@ def _real_array(x, error: type[ValueError] = ShapeError) -> np.ndarray:
         return a if a.dtype is _FLOAT else np.asarray(a, dtype=float)
     except (TypeError, ValueError) as exc:
         raise error(f"not a real numeric array: {exc}") from None
+
+
+def _real_arrays(*xs, error: type[ValueError] = ShapeError) -> list[np.ndarray]:
+    """Each x read by _real_array, at its own shape; ShapeError unless they
+    broadcast together (np.broadcast_shapes has no 32-input limit)."""
+    arrays = [_real_array(x, error) for x in xs]
+    try:
+        np.broadcast_shapes(*(a.shape for a in arrays))
+    except ValueError as exc:
+        raise ShapeError(f"inputs do not broadcast together: {exc}") from None
+    return arrays
 
 
 def matrix_exp(m: np.ndarray) -> np.ndarray:

@@ -53,11 +53,12 @@ def magnetic_point_from(
 ) -> NilPoint:
     """Charged trajectory from an arbitrary start point.
 
-    Left invariance of the metric and of the magnetic form means the
-    trajectory is the left translate by p0 of the origin trajectory with
-    the same frame velocity; the frame components of the velocity do not
-    change under the translation.
+    Left invariance of the metric and of the magnetic form makes it the
+    left translate by p0 of the origin trajectory with the same frame
+    velocity (frame components do not change under the translation).
+    Rejects bad input as magnetic_point does, the fields of p0 included.
     """
+    _require_unit(a, b, c, q, s, p0.x, p0.y, p0.z)
     return nil_multiply(p0, magnetic_point(a, b, c, q, s))
 
 

@@ -284,6 +284,11 @@ class TestUTensor:
         with pytest.raises(DomainError):
             u_tensor(NIL_BASIS, OSC_E4, OSC_E1)
 
+    def test_rejects_complex_vector(self):
+        # writing the complex field into a float buffer raised a bare TypeError
+        with pytest.raises(DomainError, match="complex"):
+            u_tensor(NIL_BASIS, OscVector(1j, 0.0, 0.0, 0.0), OSC_E1)
+
     def test_rejects_singular_basis(self):
         # E4 is the complement, so it cannot also be a basis vector
         with pytest.raises(DomainError):

@@ -98,6 +98,11 @@ class TestInitialData:
         with pytest.raises(DomainError, match="complex"):
             InitialData(ORIGIN, FrameVector(0.6, 0.0, 0.8), 1j)
 
+    def test_rejects_complex_start(self):
+        # rk4_states used to yield complex states from it
+        with pytest.raises(DomainError, match="complex"):
+            InitialData(NilPoint(1j, 0.0, 0.0), FrameVector(0.6, 0.0, 0.8))
+
 
 class TestIntegrate:
     def test_vertical_line_long_run(self):
@@ -217,6 +222,16 @@ class TestBatch:
     def test_rejects_a_wrong_shape(self, state_shape, q_shape):
         with pytest.raises(ShapeError):
             batch_step(np.zeros(state_shape), 1e-3, np.ones(q_shape))
+
+    @pytest.mark.parametrize(
+        "state, q",
+        [(np.full((6, 1), 1e-3j), 0.0), (np.zeros((6, 1)), 1j)],
+        ids=["state", "charge"],
+    )
+    def test_rejects_complex_input(self, state, q):
+        # numpy's own TypeError used to escape from the float workspace
+        with pytest.raises(ShapeError, match="complex"):
+            batch_step(state, 1e-3, q)
 
     def test_threads_do_not_share_a_workspace(self):
         # four threads step states of the same width, switching as often as

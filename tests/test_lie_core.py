@@ -236,6 +236,14 @@ class TestMatrixForms:
             # bit for bit, signed zeros included
             assert stack[i, j].tobytes() == one.tobytes()
 
+    @pytest.mark.parametrize(
+        "form, cls", [(osc_to_matrix, OscElement), (algebra_matrix, OscVector)]
+    )
+    def test_complex_fields_are_rejected(self, form, cls):
+        # the real part used to fill the matrix, with only a ComplexWarning
+        with pytest.raises(ShapeError, match="complex"):
+            form(cls(np.array([2j]), 0.0, 0.0, 0.0))
+
 
 def _uniform(seed, scale):
     return np.random.default_rng(seed).uniform(-1.0, 1.0, size=(4, 4)) * scale

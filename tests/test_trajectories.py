@@ -192,6 +192,7 @@ COMPLEX_INPUTS = [
     (magnetic_grid, (0.6, 0.0, 0.8, 0.0, np.linspace(0.0, 1.0, 3) + 0j)),
     (magnetic_velocity, (0.6, 0.0, 0.8, 1j, 1.0)),
     (homogeneous_generator, (0.6, 0.0, 0.8, 1.0 + 2j)),
+    (magnetic_point_from, (NilPoint(1j, 0.0, 0.0), 0.6, 0.0, 0.8, 0.0, 1.0)),
 ]
 # the same with inputs whose shapes do not broadcast together
 MISMATCHED_INPUTS = [
@@ -199,6 +200,7 @@ MISMATCHED_INPUTS = [
     (magnetic_grid, (0.6, 0.0, 0.8, np.zeros(2), np.zeros(3))),
     (magnetic_velocity, (np.full(2, 0.6), np.zeros(3), np.full(2, 0.8), 0.0, 1.0)),
     (homogeneous_generator, (np.full(2, 0.6), 0.0, np.full(2, 0.8), np.zeros(3))),
+    (magnetic_point_from, (NilPoint(np.zeros(2), 0.0, 0.0), 0.6, 0.0, 0.8, 0.0, np.zeros(3))),
 ]
 
 
@@ -479,11 +481,22 @@ class TestGrids:
         with pytest.raises(ShapeError):
             orbit_grid(OscVector(np.array([1.0, 2.0]), 0.0, 0.0, 0.0), 1.0, 2)
 
-    @pytest.mark.parametrize("w", [[[1, 0.5j, 0, 0]], OscVector(1.0, 0.5j, 0.0, 0.0)])
-    def test_orbit_grid_rejects_complex_generator(self, w):
-        # it used to return the orbit of the real part, (1, 0, 0, 0)
+    @pytest.mark.parametrize(
+        "w, s_max",
+        [
+            ([[1, 0.5j, 0, 0]], 1.0),
+            (OscVector(1.0, 0.5j, 0.0, 0.0), 1.0),
+            # a complex span makes every step generator ds * W complex
+            (np.array([[1.0, 0.0, 1.0, 1.0]]), 2 + 1j),
+            (OscVector(1.0, 0.0, 1.0, 1.0), 1j),
+        ],
+        ids=["w0", "w1", "complex s_max", "imaginary s_max"],
+    )
+    def test_orbit_grid_rejects_complex_generator(self, w, s_max):
+        # each used to give the orbit of the real parts, with only a
+        # ComplexWarning: of (1, 0, 0, 0), to s_max = 2, and all zeros
         with pytest.raises(ShapeError, match="complex"):
-            orbit_grid(w, 1.0, 1)
+            orbit_grid(w, s_max, 1)
 
     def test_orbit_grid_batch(self):
         w1 = homogeneous_generator(1.0, 0.0, 0.0, 1.0)
