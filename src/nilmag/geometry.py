@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .lie_core import NilPoint, OscVector, _real_arrays, bracket
+from .lie_core import NilPoint, OscVector, _read_fields, _real_arrays, bracket
 
 
 @dataclass(frozen=True)
@@ -32,13 +32,13 @@ class FrameVector:
     a: float
     b: float
     c: float
+    __post_init__ = _read_fields
 
 
 def _require_unit(a, b, c, *others) -> list[np.ndarray]:
     """The one unit-speed test: a, b, c and others read by _real_arrays,
-    with DomainError for complex input or unless (a, b, c) is a unit vector
-    (a NaN fails)."""
-    arrays = _real_arrays(a, b, c, *others, error=DomainError)
+    then DomainError unless (a, b, c) is a unit vector (a NaN fails)."""
+    arrays = _real_arrays(a, b, c, *others)
     a, b, c = arrays[:3]
     if not np.all(np.abs(a * a + b * b + c * c - 1.0) <= 1e-12):
         raise DomainError("velocity components must be unit vectors")
@@ -52,6 +52,7 @@ class CoordVector:
     dx: float
     dy: float
     dz: float
+    __post_init__ = _read_fields
 
 
 @dataclass(frozen=True)
@@ -162,6 +163,7 @@ def curve_acceleration(
     with cos(theta) = z' + (x' y - x y')/2 the contact cosine of the
     velocity and (cos theta)' = z'' + (x'' y - x y'')/2.
     """
+    x, y, dx, dy, dz, ddx, ddy, ddz = _real_arrays(x, y, dx, dy, dz, ddx, ddy, ddz)
     cos_t = dz + 0.5 * (dx * y - x * dy)
     dcos_t = ddz + 0.5 * (ddx * y - x * ddy)
     return FrameVector(ddx + cos_t * dy, ddy - cos_t * dx, dcos_t)
@@ -174,13 +176,13 @@ def _coefficients(basis: Sequence[OscVector], *vs: OscVector) -> np.ndarray:
     (4, len(vs)) + S.
 
     The last row is the component along E4; dropping it projects onto
-    the span of the basis along the reductive complement.  Fields are
-    read by _real_arrays, with DomainError for a complex one; DomainError
-    also unless basis + [E4] is a basis of the algebra.
+    the span of the basis along the reductive complement.  ShapeError
+    unless the fields of vs broadcast together; DomainError unless
+    basis + [E4] is a basis of the algebra.
     """
     cols = [[b.e1, b.e2, b.e3, b.e4] for b in basis]
     cols.append([0.0, 0.0, 0.0, 1.0])
-    fields = _real_arrays(*(f for v in vs for f in (v.e1, v.e2, v.e3, v.e4)), error=DomainError)
+    fields = _real_arrays(*(f for v in vs for f in (v.e1, v.e2, v.e3, v.e4)))
     rhs = np.stack(np.broadcast_arrays(*fields))
     rows = rhs.reshape(len(vs), 4, -1).swapaxes(0, 1).reshape(4, -1)
     try:
@@ -233,11 +235,10 @@ def go_criterion(w: OscVector, decomposition: str = "nil3") -> CriterionResult:
     NaN and family an object array with None where w is rejected.  Scalar
     fields give a bool, a float or None, and a name or None.
 
-    Raises DomainError when a component of w is complex, or it or its
-    squared norm is not finite, or when decomposition is not a key of
-    DECOMPOSITIONS; ShapeError when the fields of w do not broadcast.
+    Raises DomainError when a component of w or its squared norm is not
+    finite, or when decomposition is not a key of DECOMPOSITIONS.
     """
-    comps = _real_arrays(w.e1, w.e2, w.e3, w.e4, error=DomainError)
+    comps = (w.e1, w.e2, w.e3, w.e4)
     # products, not **, so that an overflow gives inf instead of raising
     with np.errstate(over="ignore"):
         if not np.all(np.isfinite(sum(f * f for f in comps))):

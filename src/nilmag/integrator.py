@@ -47,9 +47,11 @@ class StepConfig:
     n: int
 
     def __post_init__(self):
+        h = _real_array(self.h)
         # written so that a NaN step fails the test
-        if not 0.0 < self.h < math.inf:
-            raise DomainError("step size must be positive and finite")
+        if h.ndim or not 0.0 < h < math.inf:
+            raise DomainError("step size must be one positive finite number")
+        vars(self)["h"] = float(h)
         if not (isinstance(self.n, numbers.Integral) and self.n >= 0):
             raise DomainError("step count must be a nonnegative integer")
 
@@ -133,7 +135,7 @@ def _workspace(n, thread):
 def batch_step(state, h, q):
     """One RK4 step on a (6, n) state, as a new (6, n) array; q is one
     charge or an array of n.  Each column equals _step on its floats.
-    Raises ShapeError for complex input or any other shape of state or q."""
+    Raises DomainError for complex input, ShapeError for other shapes."""
     state, q = _real_array(state), _real_array(q)
     if state.ndim != 2 or state.shape[0] != 6 or (q.ndim and q.shape != state.shape[1:]):
         raise ShapeError(f"expected a (6, n) state and 1 or n charges, "

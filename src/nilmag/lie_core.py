@@ -26,6 +26,41 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 
+_FLOAT = np.dtype(float)
+
+
+def _real_array(x) -> np.ndarray:
+    """x as a float array, in its own layout.  The fault picks the error:
+    ShapeError for ragged input, DomainError for a dtype that is not real
+    numeric (numpy would keep a complex value's real part with a warning)."""
+    try:
+        a = np.asarray(x)
+    except ValueError as exc:
+        raise ShapeError(f"ragged input: {exc}") from None
+    if a.dtype.kind not in "biuf":
+        raise DomainError(f"not a real numeric array: dtype {a.dtype}")
+    return a if a.dtype is _FLOAT else a.astype(float)
+
+
+def _real_arrays(*xs) -> list[np.ndarray]:
+    """Each x read by _real_array, at its own shape; ShapeError unless they
+    broadcast together (np.broadcast_shapes has no 32-input limit)."""
+    arrays = [_real_array(x) for x in xs]
+    try:
+        np.broadcast_shapes(*(a.shape for a in arrays))
+    except ValueError as exc:
+        raise ShapeError(f"inputs do not broadcast together: {exc}") from None
+    return arrays
+
+
+def _read_fields(self) -> None:
+    """__post_init__ of the value types: the fields read by _real_arrays,
+    a 0-d one kept as a Python float (NaN and inf pass)."""
+    fields = vars(self)
+    for name, a in zip(list(fields), _real_arrays(*fields.values())):
+        fields[name] = a if a.ndim else float(a)
+
+
 @dataclass(frozen=True)
 class OscVector:
     """Oscillator algebra element with coefficients on E1..E4.
@@ -37,6 +72,7 @@ class OscVector:
     e2: float
     e3: float
     e4: float = 0.0
+    __post_init__ = _read_fields
 
 
 @dataclass(frozen=True)
@@ -46,6 +82,7 @@ class NilPoint:
     x: float
     y: float
     z: float
+    __post_init__ = _read_fields
 
 
 @dataclass(frozen=True)
@@ -60,6 +97,7 @@ class OscElement:
     y: float
     z: float
     t: float
+    __post_init__ = _read_fields
 
 
 def bracket(a: OscVector, b: OscVector) -> OscVector:
@@ -104,9 +142,9 @@ def osc_multiply(g1: OscElement, g2: OscElement) -> OscElement:
 
 
 def _matrix_stack(*entries) -> np.ndarray:
-    """The 16 row-major entries of a 4x4 matrix, read by _real_arrays, as
+    """The 16 row-major entries of a 4x4 matrix, built from read fields, as
     one array of shape broadcast(entries) + (4, 4)."""
-    out = np.stack(np.broadcast_arrays(*_real_arrays(*entries)), axis=-1)
+    out = np.stack(np.broadcast_arrays(*entries), axis=-1)
     return out.reshape(out.shape[:-1] + (4, 4))
 
 
@@ -145,11 +183,14 @@ def matrix_to_osc(m: np.ndarray, t_hint: float = 0.0) -> OscElement:
     of 2*pi that lands nearest t_hint, so a caller tracking a continuous
     curve can keep t unwrapped.
 
-    Raises ShapeError when m is complex, has a non-finite entry or lacks
-    the expected structure (zero pattern, unit corners, orthogonal rotation
-    block, first row consistent with the last column) within 1e-9.
+    Raises DomainError when m is complex or t_hint is not one finite real
+    number; ShapeError when m has a non-finite entry or lacks the expected
+    structure (zero pattern, unit corners, orthogonal rotation block, first
+    row consistent with the last column) within 1e-9.
     """
-    a = _real_array(m)
+    a, hint = _real_array(m), _real_array(t_hint)
+    if hint.ndim or not math.isfinite(hint):
+        raise DomainError("t_hint must be one finite number")
     if a.shape != (4, 4):
         raise ShapeError(f"expected a 4x4 matrix, got shape {a.shape}")
     # the structure tests below compare with >, which a NaN passes
@@ -171,7 +212,7 @@ def matrix_to_osc(m: np.ndarray, t_hint: float = 0.0) -> OscElement:
     y = a[2, 3]
     z = a[0, 3] / 2.0
     t0 = math.atan2(a[2, 1], a[1, 1])
-    t = t0 + 2.0 * math.pi * round((t_hint - t0) / (2.0 * math.pi))
+    t = t0 + 2.0 * math.pi * round((float(hint) - t0) / (2.0 * math.pi))
 
     # first row must be the one induced by (x, y, t)
     ct = math.cos(t)
@@ -191,40 +232,16 @@ _TAYLOR_BLOCKS = np.array(
     [1.0 / math.factorial(k) for k in range(_TAYLOR_DEGREE + 1)]
 ).reshape(-1, 4)
 _add_rows = partial(map, operator.add)  # reduce(_add_rows, rows): column sums
-_FLOAT = np.dtype(float)
-
-
-def _real_array(x, error: type[ValueError] = ShapeError) -> np.ndarray:
-    """x as a C-order float array, or error for complex input (numpy would
-    keep its real part with a mere warning) and non-numeric input."""
-    try:
-        a = np.asarray(x, order="C")
-        if a.dtype.kind == "c":
-            raise TypeError("complex input")
-        return a if a.dtype is _FLOAT else np.asarray(a, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise error(f"not a real numeric array: {exc}") from None
-
-
-def _real_arrays(*xs, error: type[ValueError] = ShapeError) -> list[np.ndarray]:
-    """Each x read by _real_array, at its own shape; ShapeError unless they
-    broadcast together (np.broadcast_shapes has no 32-input limit)."""
-    arrays = [_real_array(x, error) for x in xs]
-    try:
-        np.broadcast_shapes(*(a.shape for a in arrays))
-    except ValueError as exc:
-        raise ShapeError(f"inputs do not broadcast together: {exc}") from None
-    return arrays
 
 
 def matrix_exp(m: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring with a fixed Taylor core.
 
     Takes one square matrix (n, n) or a stack (..., n, n) with n >= 1;
-    an empty stack gives an empty stack, any other shape or complex
-    input raises ShapeError.  Each matrix A gets its own scaling: A is
-    divided by 2^s with s = ceil(log2(||A||_1 / 0.5)), or s = 0 when
-    ||A||_1 <= 0.5, so the scaled matrix has 1-norm <= 0.5.  Core: the
+    an empty stack gives an empty stack, any other shape raises
+    ShapeError and complex input DomainError.  Each matrix A gets its own
+    scaling: A is divided by 2^s with s = ceil(log2(||A||_1 / 0.5)), or
+    s = 0 when ||A||_1 <= 0.5, so the scaled matrix has 1-norm <= 0.5.  Core: the
     Taylor polynomial of degree 15 (_TAYLOR_DEGREE), whose truncation
     error is below 0.5^16/16! ~ 7e-19, evaluated by Horner in A^4 over the
     powers I, A, A^2, A^3; the result is squared s times.  A slice of a
@@ -243,9 +260,10 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     back all-NaN instead of raising, so a NaN reaches the caller's checks;
     the other matrices of its stack are not affected.
     """
-    a = _real_array(m)  # one layout, one set of bits
+    a = _real_array(m)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
         raise ShapeError(f"expected square matrices (..., n, n), got shape {a.shape}")
+    a = np.ascontiguousarray(a)  # one layout, one set of bits
     # s = ceil(log2(norm / 0.5)), the fewest halvings to a 1-norm <= 0.5,
     # read exactly off the binary exponent (norm / 0.5 may overflow);
     # ldexp divides exactly by 2^s, even past 2^1023

@@ -116,8 +116,8 @@ def _k3_arr(u: np.ndarray, sin_u: np.ndarray) -> np.ndarray:
 
 def _magnetic_xyz(a, b, c, q, s):
     """x, y, z of the charged trajectory from the origin, over
-    broadcastable inputs; floats for scalar input, else arrays of the
-    broadcast shape.  The unit-speed test, q + c and s**3 run at their
+    broadcastable inputs, as arrays of the broadcast shape (0-d for
+    scalar input).  The unit-speed test, q + c and s**3 run at their
     own inputs' shapes, and K1 and K3 share one sin(u)."""
     a, b, c, q, s = _require_unit(a, b, c, q, s)
     cq = q + c
@@ -128,8 +128,6 @@ def _magnetic_xyz(a, b, c, q, s):
     x = s * (a * k1 + b * k2)
     y = s * (b * k1 - a * k2)
     z = c * s + 0.5 * (a * a + b * b) * cq * s ** 3 * _k3_arr(u, sin_u)
-    if np.ndim(x) == 0:
-        return float(x), float(y), float(z)
     return x, y, z
 
 
@@ -144,8 +142,8 @@ def orbit_grid(w, s_max: float, steps: int) -> np.ndarray:
 
     w is one generator (OscVector of scalars or length-4 array) or a
     stack of shape (n, 4).  Returns (steps+1, 3) or (n, steps+1, 3)
-    accordingly.  Raises ShapeError for a complex w or any other shape,
-    and DomainError unless steps is an integer of at least 1.
+    accordingly.  Raises ShapeError for any other shape, DomainError for
+    complex input or unless steps is an integer of at least 1.
 
     One matrix exponential M = exp(ds W) per generator.  Only the last
     column M^k e4 of exp(k ds W) is read, so the grid is filled by

@@ -34,3 +34,12 @@ def test_tracer_installs_and_uninstalls():
 
 def test_homogeneous_generator_takes_five_positional_arguments():
     assert homogeneous_generator(0.8, 0.0, 0.6, 1.9, 0.5) == OscVector(0.8, 0.0, 0.6, 0.6 + 0.95)
+
+
+def test_generator_fields_are_python_floats():
+    # perfbench/workloads.py writes repr(w.e1) into the argv of its orbit
+    # command; numpy 2 prints an np.float64 as "np.float64(0.8)", which the
+    # command line refuses, and == cannot tell the two types apart
+    w = homogeneous_generator(0.8, 0.0, 0.6, 1.9, 0.5)
+    assert type(w.e1) is float
+    assert repr(w.e1) == "0.8"

@@ -244,6 +244,18 @@ class TestCurveAcceleration:
             got = curve_acceleration(x, y, dx, dy, dz, ddx, ddy, ddz)
             assert np.array_equal(fvec(got), want)
 
+    @pytest.mark.parametrize("k", range(8))
+    def test_rejects_a_complex_input(self, k):
+        # each used to give a complex acceleration, or a complex frame field
+        args = [1.0, 0.0, 0.0, 1.0, 0.0, -1.0, 0.0, 0.0]
+        args[k] = np.array([0.5j])
+        with pytest.raises(DomainError, match="complex"):
+            curve_acceleration(*args)
+
+    def test_rejects_inputs_that_do_not_broadcast(self):
+        with pytest.raises(ShapeError, match="broadcast"):
+            curve_acceleration(np.zeros(2), np.zeros(3), 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+
 
 class TestUTensor:
     def test_nil3_table(self):

@@ -103,6 +103,13 @@ class TestInitialData:
         with pytest.raises(DomainError, match="complex"):
             InitialData(NilPoint(1j, 0.0, 0.0), FrameVector(0.6, 0.0, 0.8))
 
+    def test_rejects_a_start_that_does_not_broadcast_with_the_velocity(self):
+        # each object reads its own fields; only InitialData sees both, and
+        # without its check rk4_states raises numpy's bare ValueError
+        start = NilPoint(np.zeros(2), 0.0, 0.0)
+        with pytest.raises(ShapeError, match="broadcast"):
+            InitialData(start, FrameVector(np.full(3, 0.6), 0.0, np.full(3, 0.8)))
+
 
 class TestIntegrate:
     def test_vertical_line_long_run(self):
@@ -179,6 +186,18 @@ class TestStepConfig:
         cfg = StepConfig(h=0.5, n=0)
         assert cfg.h == 0.5
 
+    @pytest.mark.parametrize(
+        "h", [1j, 1e-3 + 0j, np.ones(2)], ids=["complex", "real complex", "array"]
+    )
+    def test_rejects_a_step_that_is_not_one_real_number(self, h):
+        # a bare TypeError and a ValueError used to escape the range test
+        with pytest.raises(DomainError):
+            StepConfig(h, 3)
+
+    def test_step_is_read_as_a_float(self):
+        assert type(StepConfig(np.float64(1e-3), 3).h) is float
+        assert StepConfig(1, 3).h == 1.0
+
 
 class TestBatch:
     def test_steps_agree_with_scalar_integrator(self):
@@ -230,7 +249,7 @@ class TestBatch:
     )
     def test_rejects_complex_input(self, state, q):
         # numpy's own TypeError used to escape from the float workspace
-        with pytest.raises(ShapeError, match="complex"):
+        with pytest.raises(DomainError, match="complex"):
             batch_step(state, 1e-3, q)
 
     def test_threads_do_not_share_a_workspace(self):

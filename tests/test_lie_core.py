@@ -206,9 +206,19 @@ class TestMatrixForms:
         with pytest.raises(ShapeError):
             matrix_to_osc(m)
 
+    @pytest.mark.parametrize(
+        "t_hint", [math.nan, math.inf, -math.inf, 1j, np.zeros(2)],
+        ids=["nan", "inf", "-inf", "complex", "array"],
+    )
+    def test_rejects_a_hint_that_is_not_one_finite_number(self, t_hint):
+        # NaN used to raise a bare ValueError and inf an OverflowError from
+        # round, and a complex or array hint a TypeError
+        with pytest.raises(DomainError):
+            matrix_to_osc(np.eye(4), t_hint)
+
     def test_rejects_complex_matrix(self):
         # the identity plus 0.5j used to read as the identity element
-        with pytest.raises(ShapeError, match="complex"):
+        with pytest.raises(DomainError, match="complex"):
             matrix_to_osc(np.eye(4) + 0.5j)
 
     def test_orbit_of_nan_generator_is_rejected(self):
@@ -241,7 +251,7 @@ class TestMatrixForms:
     )
     def test_complex_fields_are_rejected(self, form, cls):
         # the real part used to fill the matrix, with only a ComplexWarning
-        with pytest.raises(ShapeError, match="complex"):
+        with pytest.raises(DomainError, match="complex"):
             form(cls(np.array([2j]), 0.0, 0.0, 0.0))
 
 
@@ -439,7 +449,7 @@ class TestMatrixExp:
             matrix_exp([[1.0, 2.0], [3.0]])
 
     def test_rejects_non_numeric_input(self):
-        with pytest.raises(ShapeError, match="numeric"):
+        with pytest.raises(DomainError, match="numeric"):
             matrix_exp([["a"]])
 
     @pytest.mark.parametrize(
@@ -450,7 +460,7 @@ class TestMatrixExp:
     def test_rejects_complex_input(self, m):
         # the imaginary part used to be dropped with only a ComplexWarning,
         # so [[0, 1j], [0, 0]] came back as the identity; the dtype decides
-        with pytest.raises(ShapeError, match="complex"):
+        with pytest.raises(DomainError, match="complex"):
             matrix_exp(m)
 
 

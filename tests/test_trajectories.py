@@ -186,13 +186,14 @@ class TestMagneticVelocity:
 
 
 # (function, arguments) with one complex input each; the real parts
-# are valid input
+# are valid input.  The arguments are built in the test, as a complex
+# start point raises when it is built
 COMPLEX_INPUTS = [
-    (magnetic_point, (np.array([0.6 + 0j]), 0.0, 0.8, 0.0, 1.0)),
-    (magnetic_grid, (0.6, 0.0, 0.8, 0.0, np.linspace(0.0, 1.0, 3) + 0j)),
-    (magnetic_velocity, (0.6, 0.0, 0.8, 1j, 1.0)),
-    (homogeneous_generator, (0.6, 0.0, 0.8, 1.0 + 2j)),
-    (magnetic_point_from, (NilPoint(1j, 0.0, 0.0), 0.6, 0.0, 0.8, 0.0, 1.0)),
+    (magnetic_point, lambda: (np.array([0.6 + 0j]), 0.0, 0.8, 0.0, 1.0)),
+    (magnetic_grid, lambda: (0.6, 0.0, 0.8, 0.0, np.linspace(0.0, 1.0, 3) + 0j)),
+    (magnetic_velocity, lambda: (0.6, 0.0, 0.8, 1j, 1.0)),
+    (homogeneous_generator, lambda: (0.6, 0.0, 0.8, 1.0 + 2j)),
+    (magnetic_point_from, lambda: (NilPoint(1j, 0.0, 0.0), 0.6, 0.0, 0.8, 0.0, 1.0)),
 ]
 # the same with inputs whose shapes do not broadcast together
 MISMATCHED_INPUTS = [
@@ -212,7 +213,7 @@ class TestClosedFormInput:
                              ids=[f.__name__ for f, _ in COMPLEX_INPUTS])
     def test_rejects_complex_input(self, fn, args):
         with pytest.raises(DomainError, match="complex"):
-            fn(*args)
+            fn(*args())
 
     @pytest.mark.parametrize("fn, args", MISMATCHED_INPUTS,
                              ids=[f.__name__ for f, _ in MISMATCHED_INPUTS])
@@ -484,19 +485,20 @@ class TestGrids:
     @pytest.mark.parametrize(
         "w, s_max",
         [
-            ([[1, 0.5j, 0, 0]], 1.0),
-            (OscVector(1.0, 0.5j, 0.0, 0.0), 1.0),
+            (lambda: [[1, 0.5j, 0, 0]], 1.0),
+            # built in the test: a complex field raises when it is built
+            (lambda: OscVector(1.0, 0.5j, 0.0, 0.0), 1.0),
             # a complex span makes every step generator ds * W complex
-            (np.array([[1.0, 0.0, 1.0, 1.0]]), 2 + 1j),
-            (OscVector(1.0, 0.0, 1.0, 1.0), 1j),
+            (lambda: np.array([[1.0, 0.0, 1.0, 1.0]]), 2 + 1j),
+            (lambda: OscVector(1.0, 0.0, 1.0, 1.0), 1j),
         ],
         ids=["w0", "w1", "complex s_max", "imaginary s_max"],
     )
     def test_orbit_grid_rejects_complex_generator(self, w, s_max):
         # each used to give the orbit of the real parts, with only a
         # ComplexWarning: of (1, 0, 0, 0), to s_max = 2, and all zeros
-        with pytest.raises(ShapeError, match="complex"):
-            orbit_grid(w, s_max, 1)
+        with pytest.raises(DomainError, match="complex"):
+            orbit_grid(w(), s_max, 1)
 
     def test_orbit_grid_batch(self):
         w1 = homogeneous_generator(1.0, 0.0, 0.0, 1.0)
