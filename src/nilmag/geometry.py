@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .lie_core import NilPoint, OscVector, _read_fields, _real_arrays, bracket
+from .lie_core import NilPoint, OscVector, _combines, _read_fields, _real_arrays, bracket
 
 
 @dataclass(frozen=True)
@@ -79,11 +79,13 @@ DECOMPOSITIONS = {
 }
 
 
+@_combines
 def frame_to_coord(p: NilPoint, v: FrameVector) -> CoordVector:
     """Expand a*E1 + b*E2 + c*E3 at p into coordinate components."""
     return CoordVector(v.a, v.b, v.c - 0.5 * (v.a * p.y - v.b * p.x))
 
 
+@_combines
 def coord_to_frame(p: NilPoint, v: CoordVector) -> FrameVector:
     """Inverse of frame_to_coord at the same base point.
 
@@ -92,6 +94,7 @@ def coord_to_frame(p: NilPoint, v: CoordVector) -> FrameVector:
     return FrameVector(v.dx, v.dy, v.dz + 0.5 * (v.dx * p.y - p.x * v.dy))
 
 
+@_combines
 def metric(p: NilPoint, v: CoordVector, w: CoordVector) -> float:
     """Riemannian inner product of two coordinate vectors at p."""
     fv = coord_to_frame(p, v)
@@ -113,6 +116,7 @@ def lorentz(v: FrameVector) -> FrameVector:
     return FrameVector(-v.b, v.a, 0.0)
 
 
+@_combines
 def cross(v: FrameVector, w: FrameVector) -> FrameVector:
     """Cross product in frame components for the metric volume form.
 
@@ -126,6 +130,7 @@ def cross(v: FrameVector, w: FrameVector) -> FrameVector:
     )
 
 
+@_combines
 def connection(v: FrameVector, w: FrameVector) -> FrameVector:
     """Levi-Civita connection on constant frame fields.
 

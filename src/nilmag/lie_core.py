@@ -17,10 +17,9 @@ and all other basis brackets zero.
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 from dataclasses import dataclass
-from functools import partial, reduce
 
 import numpy as np
 
@@ -51,6 +50,19 @@ def _real_arrays(*xs) -> list[np.ndarray]:
     except ValueError as exc:
         raise ShapeError(f"inputs do not broadcast together: {exc}") from None
     return arrays
+
+
+def _combines(fn):
+    """Decorator for a function of value types: ShapeError, not numpy's
+    bare ValueError, unless the fields of its arguments broadcast together
+    (osc_action and contact_form pass theirs on to one that checks)."""
+
+    @functools.wraps(fn)
+    def combined(*values):
+        _real_arrays(*(f for v in values for f in vars(v).values()))
+        return fn(*values)
+
+    return combined
 
 
 def _read_fields(self) -> None:
@@ -100,6 +112,7 @@ class OscElement:
     __post_init__ = _read_fields
 
 
+@_combines
 def bracket(a: OscVector, b: OscVector) -> OscVector:
     """Lie bracket of two oscillator algebra vectors.
 
@@ -114,6 +127,7 @@ def bracket(a: OscVector, b: OscVector) -> OscVector:
     )
 
 
+@_combines
 def nil_multiply(p: NilPoint, q: NilPoint) -> NilPoint:
     """Heisenberg group product."""
     return NilPoint(
@@ -123,6 +137,7 @@ def nil_multiply(p: NilPoint, q: NilPoint) -> NilPoint:
     )
 
 
+@_combines
 def osc_multiply(g1: OscElement, g2: OscElement) -> OscElement:
     """Oscillator group product in canonical coordinates.
 
@@ -231,7 +246,6 @@ _TAYLOR_DEGREE = 15
 _TAYLOR_BLOCKS = np.array(
     [1.0 / math.factorial(k) for k in range(_TAYLOR_DEGREE + 1)]
 ).reshape(-1, 4)
-_add_rows = partial(map, operator.add)  # reduce(_add_rows, rows): column sums
 
 
 def matrix_exp(m: np.ndarray) -> np.ndarray:
@@ -251,10 +265,9 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     Accuracy against 50-digit mpmath, as max error / max(1, max |exp A|):
     below 3e-16 for the orbit step generators (1-norm up to 2), about
     1e-14 for random 4x4 matrices with entries up to 30 (s = 7).
-    Cost: 7 + s matrix products, with no per-term test.  One matrix
-    takes its products from np.ndarray.dot: about 21 us per 4x4 call on a
-    2-core Xeon (30 us via np.matmul); a stack runs the core once through
-    np.matmul, then squaring k on the matrices with s > k: 1000 4x4, ~1 ms.
+    Cost: 7 + s matrix products, with no per-term test; one matrix runs as
+    a stack of one.  On a 2-core Xeon one 4x4 call takes about 30 us at
+    s = 0 and 5 us more per squaring, a stack of 1000 about 1.4 ms.
 
     A matrix with a non-finite entry, or a 1-norm that overflows, comes
     back all-NaN instead of raising, so a NaN reaches the caller's checks;
@@ -263,52 +276,37 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     a = _real_array(m)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
         raise ShapeError(f"expected square matrices (..., n, n), got shape {a.shape}")
-    a = np.ascontiguousarray(a)  # one layout, one set of bits
+    one = a.ndim == 2  # one matrix runs as a stack of one
+    a = np.ascontiguousarray(a[None] if one else a)  # one layout, one set of bits
     # s = ceil(log2(norm / 0.5)), the fewest halvings to a 1-norm <= 0.5,
     # read exactly off the binary exponent (norm / 0.5 may overflow);
     # ldexp divides exactly by 2^s, even past 2^1023
-    if a.ndim == 2:  # Python floats and ndarray.dot: cheaper on one matrix
-        # column sums row by row as numpy's axis -2 sum (builtin sum() is compensated)
-        sums = list(reduce(_add_rows, np.abs(a).tolist()))
-        if not all(map(math.isfinite, sums)):
-            return np.full(a.shape, np.nan)
-        frac, exp2 = math.frexp(max(sums))  # norm = frac * 2^exp2, 0.5 <= frac < 1
-        s = max(0, exp2 + (frac > 0.5))
-        if s:
-            a = np.ldexp(a, -s)
-        mul = np.ndarray.dot
-    else:
-        norm = np.abs(a).sum(axis=-2).max(axis=-1)
-        bad = ~np.isfinite(norm)  # those matrices run as zeros, then NaN
-        frac, exp2 = np.frexp(np.where(bad, 0.0, norm))
-        s = np.maximum(exp2 + (frac > 0.5), 0)
-        a = np.ldexp(np.where(bad[..., None, None], 0.0, a), -s[..., None, None])
-        mul = np.matmul
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    bad = ~np.isfinite(norm)  # those matrices run as zeros, then NaN
+    frac, exp2 = np.frexp(np.where(bad, 0.0, norm))
+    s = np.maximum(exp2 + (frac > 0.5), 0)
+    a = np.ldexp(np.where(bad[..., None, None], 0.0, a), -s[..., None, None])
 
     n = a.shape[-1]
     powers = np.zeros((4,) + a.shape)
     powers.reshape(4, -1, n * n)[0, :, :: n + 1] = 1.0  # I, cheaper than np.eye
     powers[1] = a
-    a2 = mul(a, a, powers[2])
-    mul(a2, a, powers[3])
-    a4 = mul(a2, a2)
+    a2 = np.matmul(a, a, powers[2])
+    np.matmul(a2, a, powers[3])
+    a4 = a2 @ a2
     # block j is sum_i A^i / (4j + i)!, one coefficient product for all
-    blocks = mul(_TAYLOR_BLOCKS, powers.reshape(4, -1)).reshape(powers.shape)
+    blocks = (_TAYLOR_BLOCKS @ powers.reshape(4, -1)).reshape(powers.shape)
     result = blocks[-1]
     for block in blocks[-2::-1]:
-        result = mul(result, a4)
+        result = result @ a4
         result += block
-    if a.ndim == 2:
-        for _ in range(s):
-            result = mul(result, result)
-        return result
     # squaring k takes only the matrices with s > k: a finished matrix is
     # neither squared again nor able to overflow
     for k in range(s.max(initial=0)):
         busy = result[s > k]
-        result[s > k] = mul(busy, busy)
+        result[s > k] = busy @ busy
     result[bad] = np.nan
-    return result
+    return result[0] if one else result
 
 
 def exp_nil(v: OscVector) -> NilPoint:

@@ -145,11 +145,11 @@ def orbit_grid(w, s_max: float, steps: int) -> np.ndarray:
     accordingly.  Raises ShapeError for any other shape, DomainError for
     complex input or unless steps is an integer of at least 1.
 
-    One matrix exponential M = exp(ds W) per generator.  Only the last
-    column M^k e4 of exp(k ds W) is read, so the grid is filled by
-    doubling: with P = M^m (by squaring), one batched product P @ cols
-    writes the columns m+1 .. 2m of an (n, 4, steps+1) work array from
-    its columns 1 .. m, about log2(steps) products in all.
+    One stacked matrix_exp gives M = exp(ds W) for every generator.
+    Only the last column M^k e4 of exp(k ds W) is read, so the grid is
+    filled by doubling: with P = M^m (by squaring), one batched product
+    P @ cols writes the columns m+1 .. 2m of an (n, 4, steps+1) work
+    array from its columns 1 .. m, about log2(steps) products in all.
     """
     is_vector = isinstance(w, OscVector)
     rows = _real_array(astuple(w) if is_vector else w)
@@ -162,11 +162,7 @@ def orbit_grid(w, s_max: float, steps: int) -> np.ndarray:
     n = rows.shape[0]
     ds = s_max / steps
 
-    # one matrix_exp per generator, though it takes the whole stack: the
-    # benchmark's sweep self-test pins its call count to one per generator
-    # until the next benchmark change (ROADMAP item 6)
-    step_gens = algebra_matrix(OscVector(*(ds * rows.T)))
-    step_mats = np.array([matrix_exp(m) for m in step_gens]).reshape(step_gens.shape)
+    step_mats = matrix_exp(algebra_matrix(OscVector(*(ds * rows.T))))
 
     # cols[..., k] = M^k e4; the columns written never overlap those read
     cols = np.empty((n, 4, steps + 1))

@@ -2,10 +2,12 @@
 
 A value type reads its fields when it is built: a complex field raises
 DomainError, fields that do not broadcast raise ShapeError, NaN and inf
-pass, and a scalar field comes back as a Python float.  The sweep feeds
-NaN, +-inf, 1e308 and a complex value into one argument or field of each
-export at a time; each call must raise DomainError or ShapeError, or
-return a result with no complex field.  Non-finite output is allowed, so
+pass, and a scalar field comes back as a Python float.  A function that
+combines value types raises ShapeError when their fields do not
+broadcast together.  The sweep feeds NaN, +-inf, 1e308 and a complex
+value into one argument or field of each export at a time; each call
+must raise DomainError or ShapeError, or return a result with no complex
+field.  Non-finite output is allowed, so
 numpy's overflow warnings are silenced for the call.
 """
 
@@ -33,6 +35,10 @@ from nilmag import (
 from nilmag.geometry import DECOMPOSITIONS
 
 VALUE_TYPES = [NilPoint, OscVector, OscElement, FrameVector, CoordVector]
+COMBINATORS = [
+    "bracket", "nil_multiply", "osc_multiply", "osc_action", "frame_to_coord",
+    "coord_to_frame", "metric", "contact_form", "cross", "connection",
+]
 # the exports that take no input the rule covers: the errors and the
 # record go_criterion returns
 NOT_SWEPT = {"DomainError", "ShapeError", "CriterionResult"}
@@ -145,6 +151,18 @@ def test_one_bad_leaf_raises_a_library_error_or_gives_real_output(name):
         assert not any(np.iscomplexobj(v) for v in _fields(out)), (k, bad, out)
 
     one_bad_leaf()
+
+
+@pytest.mark.parametrize("name", COMBINATORS)
+def test_values_that_do_not_broadcast_together_raise_shape_error(name):
+    # each value is valid alone: the first has fields of length 2, the
+    # others of length 3; numpy's bare ValueError used to escape
+    fn, args = CASES[name]
+    values = [
+        cls(*np.multiply.outer(fields, np.ones(n))) for (cls, fields), n in zip(args, (2, 3, 3))
+    ]
+    with pytest.raises(ShapeError, match="broadcast"):
+        fn(*values)
 
 
 class TestValueTypes:

@@ -354,9 +354,9 @@ class TestMatrixExp:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 33])
     def test_one_matrix_has_the_bits_of_its_stack_slice(self, n):
-        # the one-matrix path computes its norm and products apart from
-        # the stack path, and every layout must give the bits of its C
-        # order copy; these draws reach every s from 0 to 11
+        # one matrix runs as a stack of one, and every layout must give
+        # the bits of its C order copy; these draws reach every s from 0
+        # to 11
         rng = np.random.default_rng([2005, n])
         cases = []
         for norm1 in 10.0 ** rng.uniform(-6.0, 3.0, 60):
@@ -381,7 +381,8 @@ class TestMatrixExp:
         rounding[:, 0] = [1.0] + [2.0**-53] * (n - 1)
         cases.append(rounding)
         # the same values in other layouts, negative strides included: at
-        # n = 33 np.ndarray.dot and np.matmul multiply many of them apart
+        # n = 33 np.matmul multiplies a negative-stride view in its own loop
+        # and a contiguous copy through BLAS, and many of them differ
         fortran = [np.asfortranarray(m) for m in cases]
         cases += [v for m, f in zip(cases, fortran) for v in (f, m.T, m.T[::-1], f[:, ::-1])]
         for value in (math.nan, math.inf, -math.inf):

@@ -432,9 +432,7 @@ class TestGrids:
             assert orbit[-1] == pytest.approx(orbit_grid(OscVector(*w), 5.0, 1)[-1], abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 3, 7])
-    def test_orbit_grid_takes_one_matrix_exp_per_generator(self, monkeypatch, n):
-        # the benchmark's sweep self-test pins lie_core.matrix_exp.calls to
-        # one per generator; a batched exponential would change that count
+    def test_orbit_grid_takes_one_matrix_exp_per_grid(self, monkeypatch, n):
         calls = []
         exp = trajectories.matrix_exp
 
@@ -444,7 +442,27 @@ class TestGrids:
 
         monkeypatch.setattr(trajectories, "matrix_exp", counting)
         orbit_grid(np.random.default_rng(n).uniform(-2.0, 2.0, (n, 4)), 5.0, 9)
-        assert calls == [(4, 4)] * n
+        assert calls == [(n, 4, 4)]
+
+    @pytest.mark.parametrize("s_max", [0.5, 5.0, 20.0, 60.0])
+    def test_orbit_grid_rows_have_the_bits_of_their_own_grid(self, s_max):
+        # ten of each kind of instance of the benchmark's sweep: generic,
+        # straight lines (q = -c), small |u|, Reeb velocities and geodesics;
+        # from span 20 on their step matrices take different scalings in
+        # one stack
+        rng = np.random.default_rng([27, int(s_max)])
+        vel = rng.normal(size=(50, 3))
+        a, b, c = (vel / np.linalg.norm(vel, axis=1, keepdims=True)).T
+        q = rng.uniform(-2.0, 2.0, 50)
+        q[10:20] = -c[10:20]
+        q[20:30] = -c[20:30] + rng.uniform(-0.4, 0.4, 10) / s_max
+        a[30:40], b[30:40], c[30:40] = 0.0, 0.0, rng.choice([-1.0, 1.0], 10)
+        q[40:] = 0.0
+        w = homogeneous_generator(a, b, c, q)
+        gens = np.column_stack([w.e1, w.e2, w.e3, w.e4])
+        grid = orbit_grid(gens, s_max, 100)
+        for row, gen in zip(grid, gens):
+            assert np.array_equal(row, orbit_grid(gen, s_max, 100))
 
     def test_orbit_grid_has_the_bits_of_its_c_order_copy(self):
         fortran = np.asfortranarray(np.random.default_rng(23).uniform(-2.0, 2.0, (9, 4)))
