@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .geometry import FrameVector, _require_unit, frame_to_coord
-from .lie_core import NilPoint, _real_array
+from .lie_core import NilPoint, _real_array, _real_scalar
 
 
 @dataclass(frozen=True)
@@ -110,12 +110,14 @@ def integrate(init: InitialData, cfg: StepConfig) -> np.ndarray:
 # trajectories is one (6, n) array whose rows are x, y, z, vx, vy, vz.
 # At n = 200 a step costs numpy's per-call overhead, so batch_step writes
 # _rhs's formula again, in place on row views built once per (n, thread):
-# about 205 ns per trajectory-step against 305 ns for _rhs on new arrays,
-# while _rhs on persistent buffers kept 0.86-0.97 of that time (2-core
-# Xeon, best of 5 runs of 10 000 steps).
+# about 170 ns per trajectory-step against 315-370 ns for _rhs on new
+# arrays, while _rhs on persistent buffers kept 0.86-0.97 of that time
+# (2-core Xeon, best of 7-9 interleaved runs of 10 000 steps).  Its
+# outputs are positional because numpy parses an out= keyword on every
+# call: with out= the same 66 calls took about 210 ns.
 # TestBatch::test_steps_agree_with_scalar_integrator pins every column to
 # _step bit for bit.  _step stays for single trajectories (rk4_states):
-# at n = 1 it takes 2.0 us per step, batch_step about 43 us.
+# at n = 1 it takes 2.0 us per step, batch_step about 50 us.
 
 
 @functools.lru_cache(maxsize=8)
@@ -133,44 +135,47 @@ def _workspace(n, thread):
 
 
 def batch_step(state, h, q):
-    """One RK4 step on a (6, n) state, as a new (6, n) array; q is one
-    charge or an array of n.  Each column equals _step on its floats.
-    Raises DomainError for complex input, ShapeError for other shapes."""
+    """One RK4 step on a (6, n) state, as a new (6, n) array; h is one real
+    step, q is one charge or an array of n.  Each column equals _step on
+    its floats.  Raises DomainError for complex input, ShapeError for
+    other shapes."""
     state, q = _real_array(state), _real_array(q)
+    h = _real_scalar(h, "step")
     if state.ndim != 2 or state.shape[0] != 6 or (q.ndim and q.shape != state.shape[1:]):
         raise ShapeError(f"expected a (6, n) state and 1 or n charges, "
                          f"got shapes {state.shape} and {q.shape}")
     points, slopes, rows, t1, t2 = _workspace(state.shape[1], threading.get_ident())
+    mul, add, sub, neg = np.multiply, np.add, np.subtract, np.negative
     hh = 0.5 * h
     np.copyto(points[0], state)
     for i, (x, y, z, vx, vy, vz, ax, ay, az) in enumerate(rows):
         if i:
             # stage i starts at state + c * slope of stage i - 1, c = hh, hh, h
-            np.multiply(slopes[i - 1], h if i == 3 else hh, out=points[i])
-            np.add(state, points[i], out=points[i])
+            mul(slopes[i - 1], h if i == 3 else hh, points[i])
+            add(state, points[i], points[i])
         # _rhs, operation by operation: t1 = ct = vz + 0.5 * (vx * y - x * vy)
-        np.multiply(vx, y, out=t1)
-        np.multiply(x, vy, out=t2)
-        np.subtract(t1, t2, out=t1)
-        np.multiply(0.5, t1, out=t1)
-        np.add(vz, t1, out=t1)
+        mul(vx, y, t1)
+        mul(x, vy, t2)
+        sub(t1, t2, t1)
+        mul(0.5, t1, t1)
+        add(vz, t1, t1)
         # t1 = w = q + ct; ax = -w * vy; ay = w * vx
-        np.add(q, t1, out=t1)
-        np.negative(t1, out=t2)
-        np.multiply(t2, vy, out=ax)
-        np.multiply(t1, vx, out=ay)
+        add(q, t1, t1)
+        neg(t1, t2)
+        mul(t2, vy, ax)
+        mul(t1, vx, ay)
         # az = -0.5 * (ax * y - x * ay)
-        np.multiply(ax, y, out=t1)
-        np.multiply(x, ay, out=t2)
-        np.subtract(t1, t2, out=t1)
-        np.multiply(-0.5, t1, out=az)
+        mul(ax, y, t1)
+        mul(x, ay, t2)
+        sub(t1, t2, t1)
+        mul(-0.5, t1, az)
     k1, k2, k3, k4 = slopes
     # ((k1 + 2 k2) + 2 k3) + k4, as _step adds them, summed into k1: no
     # slope is read again
-    np.multiply(2.0, k2, out=k2)
-    np.add(k1, k2, out=k1)
-    np.multiply(2.0, k3, out=k3)
-    np.add(k1, k3, out=k1)
-    np.add(k1, k4, out=k1)
-    np.multiply(h / 6.0, k1, out=k1)
+    mul(2.0, k2, k2)
+    add(k1, k2, k1)
+    mul(2.0, k3, k3)
+    add(k1, k3, k1)
+    add(k1, k4, k1)
+    mul(h / 6.0, k1, k1)
     return state + k1

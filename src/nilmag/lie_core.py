@@ -41,6 +41,15 @@ def _real_array(x) -> np.ndarray:
     return a if a.dtype is _FLOAT else a.astype(float)
 
 
+def _real_scalar(x, what: str) -> float:
+    """x read by _real_array as one real number, a Python float (NaN, inf
+    and negative values pass); ShapeError unless it is a scalar."""
+    a = _real_array(x)
+    if a.ndim:
+        raise ShapeError(f"{what} must be one number, got shape {a.shape}")
+    return float(a)
+
+
 def _real_arrays(*xs) -> list[np.ndarray]:
     """Each x read by _real_array, at its own shape; ShapeError unless they
     broadcast together (np.broadcast_shapes has no 32-input limit)."""

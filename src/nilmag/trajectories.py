@@ -30,7 +30,9 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .geometry import FrameVector, _require_unit
-from .lie_core import NilPoint, OscVector, _real_array, algebra_matrix, matrix_exp, nil_multiply
+from .lie_core import (
+    NilPoint, OscVector, _real_array, _real_scalar, algebra_matrix, matrix_exp, nil_multiply,
+)
 
 # Taylor coefficients of K3, (-1)^k / (2k+3)!; enough terms for |u| < 0.5
 _K3_COEFFS = [(-1.0) ** k / math.factorial(2 * k + 3) for k in range(8)]
@@ -142,8 +144,9 @@ def orbit_grid(w, s_max: float, steps: int) -> np.ndarray:
 
     w is one generator (OscVector of scalars or length-4 array) or a
     stack of shape (n, 4).  Returns (steps+1, 3) or (n, steps+1, 3)
-    accordingly.  Raises ShapeError for any other shape, DomainError for
-    complex input or unless steps is an integer of at least 1.
+    accordingly.  s_max is one real number.  Raises ShapeError for any
+    other shape, DomainError for complex input or unless steps is an
+    integer of at least 1.
 
     One stacked matrix_exp gives M = exp(ds W) for every generator.
     Only the last column M^k e4 of exp(k ds W) is read, so the grid is
@@ -160,7 +163,7 @@ def orbit_grid(w, s_max: float, steps: int) -> np.ndarray:
     single = rows.ndim == 1
     rows = rows.reshape(-1, 4)
     n = rows.shape[0]
-    ds = s_max / steps
+    ds = _real_scalar(s_max, "s_max") / steps
 
     step_mats = matrix_exp(algebra_matrix(OscVector(*(ds * rows.T))))
 

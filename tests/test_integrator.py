@@ -252,6 +252,29 @@ class TestBatch:
         with pytest.raises(DomainError, match="complex"):
             batch_step(state, 1e-3, q)
 
+    @pytest.mark.parametrize(
+        "h, error",
+        [(1j, DomainError), ("x", DomainError), (np.array([1e-3, 2e-3]), ShapeError)],
+        ids=["complex", "string", "two steps"],
+    )
+    def test_rejects_a_step_that_is_not_one_real_number(self, h, error):
+        # numpy's UFuncTypeError, a bare TypeError and a bare ValueError
+        # used to escape from the arithmetic
+        with pytest.raises(error):
+            batch_step(np.zeros((6, 2)), h, 0.5)
+
+    def test_step_is_read_as_a_python_float(self):
+        # an np.float32 step used to give h / 2 and h / 6 in float32
+        rng = np.random.default_rng(37)
+        state, q = rng.uniform(-1.0, 1.0, size=(6, 4)), rng.uniform(-2.0, 2.0, size=4)
+        h = np.float32(1e-3)
+        for same in (h, np.array(h)):
+            assert np.array_equal(batch_step(state, same, q), batch_step(state, float(h), q))
+        # NaN, inf and negative steps are stepped, not refused
+        with np.errstate(all="ignore"):
+            for h in (-1e-3, math.nan, math.inf):
+                assert batch_step(state, h, q).shape == (6, 4)
+
     def test_threads_do_not_share_a_workspace(self):
         # four threads step states of the same width, switching as often as
         # the interpreter allows; one workspace shared between them would

@@ -518,6 +518,26 @@ class TestGrids:
         with pytest.raises(DomainError, match="complex"):
             orbit_grid(w(), s_max, 1)
 
+    @pytest.mark.parametrize(
+        "s_max, error", [("x", DomainError), (np.array([1.0, 2.0]), ShapeError)],
+        ids=["string", "two spans"],
+    )
+    def test_orbit_grid_rejects_a_span_that_is_not_one_real_number(self, s_max, error):
+        # a bare TypeError and a bare ValueError used to escape
+        with pytest.raises(error):
+            orbit_grid(OscVector(0.6, 0.0, 0.8, 1.0), s_max, 4)
+
+    def test_orbit_grid_reads_its_span_as_a_python_float(self):
+        # an np.float32 span used to give its step ds in float32
+        w = OscVector(0.6, 0.0, 0.8, 1.0)
+        s_max = np.float32(0.1)
+        for same in (s_max, np.array(s_max)):
+            assert np.array_equal(orbit_grid(w, same, 3), orbit_grid(w, float(s_max), 3))
+        # NaN, inf and negative spans are evaluated, not refused
+        with np.errstate(all="ignore"):
+            for s_max in (-2.0, math.nan, math.inf):
+                assert orbit_grid(w, s_max, 3).shape == (4, 3)
+
     def test_orbit_grid_batch(self):
         w1 = homogeneous_generator(1.0, 0.0, 0.0, 1.0)
         w2 = homogeneous_generator(0.0, 0.0, 1.0, 0.0)

@@ -33,7 +33,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-RESULTS = ROOT / ".perfbench_out"
+RESULTS = ".perfbench_out"  # perfbench/run.py writes here, in its checkout
 UNTRACED_SEEDS = (2201, 2202, 2203)
 TRACED_SEED = 2204
 REPEATS = len(UNTRACED_SEEDS)
@@ -49,16 +49,18 @@ class MetricError(Exception):
     """A declared metric is missing from a run's result or is not finite."""
 
 
-def run_benchmark(workload: str, seed: int, trace: int) -> dict:
-    """One perfbench run; returns the result file it writes."""
-    path = RESULTS / f"result-{workload}-seed{seed}-trace{trace}.json"
+def run_benchmark(workload: str, seed: int, trace: int, root: Path = ROOT,
+                  seconds: float = SECONDS) -> dict:
+    """One perfbench run in the checkout at root; returns the result file
+    it writes."""
+    path = root / RESULTS / f"result-{workload}-seed{seed}-trace{trace}.json"
     path.unlink(missing_ok=True)  # never read a stale result
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace),
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
     print("$", " ".join(cmd[1:]), file=sys.stderr, flush=True)
-    proc = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.DEVNULL)
+    proc = subprocess.run(cmd, cwd=root, stdout=subprocess.DEVNULL)
     if proc.returncode != 0 or not path.is_file():
         sys.exit(f"error: {' '.join(cmd[1:])} exited with code {proc.returncode}")
     return json.loads(path.read_text())
@@ -75,16 +77,19 @@ def finite_value(result: dict, workload: str, name: str) -> float:
     return float(value)
 
 
+def quartiles(values: list[float]) -> dict:
+    """Median and quartiles of at least two values."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
 def summarise(declared: dict, untraced: list[dict], traced: dict, workload: str) -> dict:
     """One workload's entry: quartiles of each end-to-end metric over the
     untraced runs, and each per-layer value of the traced run."""
     end_to_end = {}
     for m in declared["end_to_end"]:
         values = [finite_value(r, workload, m["name"]) for r in untraced]
-        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-        end_to_end[m["name"]] = {
-            "unit": m["unit"], "median": median, "q1": q1, "q3": q3, "values": values,
-        }
+        end_to_end[m["name"]] = {"unit": m["unit"], **quartiles(values), "values": values}
     per_layer = {
         m["name"]: {"unit": m["unit"], "value": finite_value(traced, workload, m["name"])}
         for m in declared["per_layer"]
