@@ -85,8 +85,11 @@ def test_main_writes_the_pairs_of_each_workload(pairs, monkeypatch, tmp_path, ca
     values = iter([2.0, 1.0, 1.1, 2.1])  # base, change, then change, base
     monkeypatch.setattr(pairs, "run_benchmark", lambda *a: _result(value=next(values)))
     monkeypatch.setattr(pairs, "git", lambda *a: "")
-    monkeypatch.setattr(pairs, "worktree", lambda rev, path: contextlib.nullcontext(tmp_path))
+    made = []  # both sides run in a worktree, the change side too
+    monkeypatch.setattr(pairs, "worktree", lambda rev, path: made.append(path.name)
+                        or contextlib.nullcontext(tmp_path))
     assert pairs.main(["HEAD", "--workload", "emit", "--pairs", "2"]) == 0
+    assert made == ["base", "change"]
     entry = json.loads(capsys.readouterr().out)["workloads"]["emit"]
     assert entry["first"] == ["base", "change"]
     assert set(entry["end_to_end"]) == set(END_TO_END)
