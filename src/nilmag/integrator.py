@@ -47,11 +47,11 @@ class StepConfig:
     n: int
 
     def __post_init__(self):
-        h = _real_array(self.h)
+        h = _real_scalar(self.h, "step size")
         # written so that a NaN step fails the test
-        if h.ndim or not 0.0 < h < math.inf:
+        if not 0.0 < h < math.inf:
             raise DomainError("step size must be one positive finite number")
-        vars(self)["h"] = float(h)
+        vars(self)["h"] = h
         if not (isinstance(self.n, numbers.Integral) and self.n >= 0):
             raise DomainError("step count must be a nonnegative integer")
 

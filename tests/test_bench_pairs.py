@@ -75,7 +75,8 @@ def test_main_writes_nothing_after_a_failed_run(pairs, monkeypatch, tmp_path, ca
     monkeypatch.setattr(pairs, "run_benchmark", lambda *a: next(runs))
     monkeypatch.setattr(pairs, "git", lambda *a: "")
     monkeypatch.setattr(pairs, "worktree", lambda rev, path: contextlib.nullcontext(tmp_path))
-    assert pairs.main(["HEAD", "--workload", "verify", "--pairs", "2"]) == 1
+    monkeypatch.setattr(pairs, "PAIRS", 2)
+    assert pairs.main(["HEAD", "--workload", "verify"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert "2 of 4 operations failed on the base side; nothing written" in err
@@ -88,7 +89,8 @@ def test_main_writes_the_pairs_of_each_workload(pairs, monkeypatch, tmp_path, ca
     made = []  # both sides run in a worktree, the change side too
     monkeypatch.setattr(pairs, "worktree", lambda rev, path: made.append(path.name)
                         or contextlib.nullcontext(tmp_path))
-    assert pairs.main(["HEAD", "--workload", "emit", "--pairs", "2"]) == 0
+    monkeypatch.setattr(pairs, "PAIRS", 2)
+    assert pairs.main(["HEAD", "--workload", "emit"]) == 0
     assert made == ["base", "change"]
     entry = json.loads(capsys.readouterr().out)["workloads"]["emit"]
     assert entry["first"] == ["base", "change"]

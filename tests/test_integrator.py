@@ -187,11 +187,13 @@ class TestStepConfig:
         assert cfg.h == 0.5
 
     @pytest.mark.parametrize(
-        "h", [1j, 1e-3 + 0j, np.ones(2)], ids=["complex", "real complex", "array"]
+        "h, error",
+        [(1j, DomainError), (1e-3 + 0j, DomainError), (np.ones(2), ShapeError)],
+        ids=["complex", "real complex", "array"],
     )
-    def test_rejects_a_step_that_is_not_one_real_number(self, h):
+    def test_rejects_a_step_that_is_not_one_real_number(self, h, error):
         # a bare TypeError and a ValueError used to escape the range test
-        with pytest.raises(DomainError):
+        with pytest.raises(error):
             StepConfig(h, 3)
 
     def test_step_is_read_as_a_float(self):

@@ -49,15 +49,14 @@ class MetricError(Exception):
     """A declared metric is missing from a run's result or is not finite."""
 
 
-def run_benchmark(workload: str, seed: int, trace: int, root: Path = ROOT,
-                  seconds: float = SECONDS) -> dict:
+def run_benchmark(workload: str, seed: int, trace: int, root: Path = ROOT) -> dict:
     """One perfbench run in the checkout at root; returns the result file
     it writes."""
     path = root / RESULTS / f"result-{workload}-seed{seed}-trace{trace}.json"
     path.unlink(missing_ok=True)  # never read a stale result
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
+        "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace),
     ]
     print("$", " ".join(cmd[1:]), file=sys.stderr, flush=True)
     proc = subprocess.run(cmd, cwd=root, stdout=subprocess.DEVNULL)

@@ -1,7 +1,6 @@
 """Alternating before/after runs of the benchmark, as JSON on stdout.
 
-    python3 tools/bench_pairs.py BASE [CHANGE] [--workload W] [--pairs N]
-        [--seconds S] > pairs.json
+    python3 tools/bench_pairs.py BASE [CHANGE] [--workload W] > pairs.json
 
 BASE and CHANGE are git revisions of this repository.  Without CHANGE
 the change side is this checkout as it stands: HEAD with its uncommitted
@@ -15,10 +14,10 @@ BENCHMARK.json, copied into each worktree, so that only the code under
 test differs.
 
 For each workload (every one BENCHMARK.json declares, or those named
-with --workload), pair i runs ``perfbench/run.py --trace 0`` once on each
-side, with the same --seconds and the seed SEED + i (tools/bench_file.py
-uses other seeds); the base runs first in even pairs, the change in odd
-ones.  For each end-to-end metric the JSON holds each side's values,
+with --workload), each of the PAIRS pairs runs ``perfbench/run.py
+--trace 0`` once on each side, for bench_file's SECONDS, pair i with the
+seed SEED + i (tools/bench_file.py uses other seeds); the base runs first
+in even pairs, the change in odd ones.  For each end-to-end metric the JSON holds each side's values,
 median and quartiles, the change of the medians in percent, the pairs the
 change won and lost (a tie counts for neither side), the two-sided sign
 test's p over the pairs that are not ties, and two verdicts:
@@ -47,12 +46,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_file import MetricError, finite_value, quartiles, run_benchmark
+from bench_file import SECONDS, MetricError, finite_value, quartiles, run_benchmark
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 2800
-SECONDS = 15.0
-PAIRS = 10
+PAIRS = 10  # the fewest from which a gain may be claimed
 
 
 class FailedRun(Exception):
@@ -116,17 +114,17 @@ def worktree(rev: str, path: Path):
         git("worktree", "remove", "--force", str(path))
 
 
-def run_pairs(declared: dict, workload: str, sides: dict, pairs: int, seconds: float) -> dict:
-    """One workload's entry: `pairs` alternating runs on both sides."""
+def run_pairs(declared: dict, workload: str, sides: dict) -> dict:
+    """One workload's entry: PAIRS alternating runs on both sides."""
     runs = {side: [] for side in sides}
-    for i in range(pairs):
+    for i in range(PAIRS):
         order = list(sides) if i % 2 == 0 else list(sides)[::-1]
         for side in order:
-            print(f"# {workload} pair {i + 1}/{pairs}, {side}", file=sys.stderr, flush=True)
-            result = run_benchmark(workload, SEED + i, 0, sides[side], seconds)
+            print(f"# {workload} pair {i + 1}/{PAIRS}, {side}", file=sys.stderr, flush=True)
+            result = run_benchmark(workload, SEED + i, 0, sides[side])
             runs[side].append(check_run(result, side, workload))
     entry = {
-        "first": ["base" if i % 2 == 0 else "change" for i in range(pairs)],
+        "first": ["base" if i % 2 == 0 else "change" for i in range(PAIRS)],
         "attempted": {side: sum(r["result"]["attempted"] for r in rs)
                       for side, rs in runs.items()},
         "src_nilmag_lines": {side: rs[0]["environment"]["src_nilmag_lines"]
@@ -152,11 +150,7 @@ def main(argv=None) -> int:
                    "(default: this checkout, uncommitted edits included)")
     p.add_argument("--workload", action="append", choices=names,
                    help="a workload to run (repeatable; default: all)")
-    p.add_argument("--pairs", type=int, default=PAIRS)
-    p.add_argument("--seconds", type=float, default=SECONDS)
     args = p.parse_args(argv)
-    if args.pairs < 2:
-        p.error("--pairs must be at least 2")
 
     revs = {"base": args.base, "change": args.change}
     commits = {side: git("rev-parse", "--verify", f"{rev or 'HEAD'}^{{commit}}")
@@ -167,9 +161,9 @@ def main(argv=None) -> int:
         "benchmark": " ".join(declared["command"]) + " --trace 0",
         "sides": {side: {"rev": rev, "commit": commits[side]} for side, rev in revs.items()},
         "uncommitted_changes": bool(edits),
-        "pairs": args.pairs,
-        "seconds": args.seconds,
-        "seeds": [SEED + i for i in range(args.pairs)],
+        "pairs": PAIRS,
+        "seconds": SECONDS,
+        "seeds": [SEED + i for i in range(PAIRS)],
         "quartiles": "statistics.quantiles(values, n=4, method='inclusive')",
         "workloads": {},
     }
@@ -179,7 +173,7 @@ def main(argv=None) -> int:
             sides = {side: stack.enter_context(worktree(commit, Path(tmp) / side))
                      for side, commit in commits.items()}
             for w in args.workload or names:
-                out["workloads"][w] = run_pairs(declared, w, sides, args.pairs, args.seconds)
+                out["workloads"][w] = run_pairs(declared, w, sides)
     except (FailedRun, MetricError) as exc:
         print(f"error: {exc}; nothing written", file=sys.stderr)
         return 1
