@@ -58,9 +58,8 @@ def magnetic_point_from(
     Left invariance of the metric and of the magnetic form makes it the
     left translate by p0 of the origin trajectory with the same frame
     velocity (frame components do not change under the translation).
-    Rejects bad input as magnetic_point does, the fields of p0 included.
+    Rejects bad input as magnetic_point does, and p0 as nil_multiply does.
     """
-    _require_unit(a, b, c, q, s, p0.x, p0.y, p0.z)
     return nil_multiply(p0, magnetic_point(a, b, c, q, s))
 
 
@@ -139,6 +138,7 @@ def magnetic_grid(a, b, c, q, s_values) -> np.ndarray:
     return np.stack(_magnetic_xyz(a, b, c, q, s_values), axis=-1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def orbit_grid(w, s_max: float, steps: int) -> np.ndarray:
     """Orbit coordinates on the uniform grid s = 0, ds, ..., s_max.
 
@@ -146,7 +146,8 @@ def orbit_grid(w, s_max: float, steps: int) -> np.ndarray:
     stack of shape (n, 4).  Returns (steps+1, 3) or (n, steps+1, 3)
     accordingly.  s_max is one real number.  Raises ShapeError for any
     other shape, DomainError for complex input or unless steps is an
-    integer of at least 1.
+    integer of at least 1.  A non-finite span or an overflowing
+    generator gives non-finite rows, without a numpy warning.
 
     One stacked matrix_exp gives M = exp(ds W) for every generator.
     Only the last column M^k e4 of exp(k ds W) is read, so the grid is

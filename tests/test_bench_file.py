@@ -60,8 +60,30 @@ def test_writer_names_a_missing_or_non_finite_metric(value):
     good = _result(wall_s=1.0, busy_s=2.0)
     bad = _result(wall_s=1.0) if value is None else _result(wall_s=1.0, busy_s=value)
     assert writer.summarise(declared, [good] * 3, good, "w")["per_layer"]["busy_s"]["value"] == 2.0
-    with pytest.raises(writer.MetricError, match="busy_s"):
+    with pytest.raises(writer.RunError, match="busy_s"):
         writer.summarise(declared, [good] * 3, bad, "w")
+
+
+def test_writer_refuses_a_run_with_a_failed_operation(monkeypatch, tmp_path, capsys):
+    writer = _writer()
+
+    def perfbench(cmd, cwd, **kwargs):
+        # the run exits 0 and writes its result, one of 4 operations failed
+        opts = dict(zip(cmd[2::2], cmd[3::2]))
+        path = cwd / writer.RESULTS / (
+            f"result-{opts['--workload']}-seed{opts['--seed']}-trace{opts['--trace']}.json")
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(json.dumps({"result": {"attempted": 4, "failed": 1, "metrics": {}}}))
+        return subprocess.CompletedProcess(cmd, 0)
+
+    monkeypatch.setattr(writer, "subprocess",
+                        SimpleNamespace(run=perfbench, DEVNULL=subprocess.DEVNULL))
+    real = writer.run_benchmark
+    monkeypatch.setattr(writer, "run_benchmark", lambda *a: real(*a, root=tmp_path))
+    out = tmp_path / "BENCH_0.json"
+    assert writer.main([str(out)]) == 1
+    assert not out.exists()
+    assert "1 of 4 operations failed; nothing written" in capsys.readouterr().err
 
 
 def test_writer_stops_on_a_failing_tier1_run(monkeypatch, tmp_path, capsys):

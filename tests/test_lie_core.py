@@ -154,6 +154,28 @@ class TestOscMultiply:
             )
 
 
+def _with(m, index, value):
+    """A copy of m with the entries at index set to value."""
+    m = m.copy()
+    m[index] = value
+    return m
+
+
+FORM_ELEMENT = (0.5, -1.0, 2.0, 0.3)
+FORM = osc_to_matrix(OscElement(*FORM_ELEMENT))
+# faults of size 1e-8 on FORM, then larger ones and a wrong shape
+NOT_A_FORM = {
+    "lower-left": _with(FORM, (3, 1), 1e-8),
+    "corner": _with(FORM, (0, 0), 1.0 + 1e-8),
+    "scaled-rotation": _with(FORM, np.s_[1:3, 1:3], FORM[1:3, 1:3] * (1.0 + 1e-8)),
+    "first-row": _with(FORM, (0, 2), FORM[0, 2] + 1e-8),
+    "shear": _with(np.eye(4), (1, 2), 0.5),
+    "reflection": _with(np.eye(4), (1, 1), -1.0),
+    "nan": _with(np.eye(4), (1, 3), math.nan),
+    "3x3": np.eye(3),
+}
+
+
 class TestMatrixForms:
     def test_identity_element(self):
         assert np.array_equal(osc_to_matrix(OscElement(0.0, 0.0, 0.0, 0.0)), np.eye(4))
@@ -194,26 +216,28 @@ class TestMatrixForms:
         assert matrix_to_osc(m).t == pytest.approx(0.1, abs=1e-12)
         assert matrix_to_osc(m, t_hint=6.0).t == pytest.approx(t, abs=1e-12)
 
-    def test_rejects_sheared_block(self):
-        m = np.eye(4)
-        m[1, 2] = 0.5
+    @pytest.mark.parametrize("m", NOT_A_FORM.values(), ids=NOT_A_FORM.keys())
+    def test_rejects_a_matrix_not_of_the_form(self, m):
         with pytest.raises(ShapeError):
             matrix_to_osc(m)
 
-    def test_rejects_non_finite_entry(self):
-        m = np.eye(4)
-        m[1, 3] = math.nan
+    @pytest.mark.parametrize("entry", [(1, 0), (2, 0), (3, 0), (3, 1), (3, 2)])
+    def test_a_zero_entry_is_read_within_1e_9(self, entry):
+        g = matrix_to_osc(_with(FORM, entry, 5e-10))
+        assert (g.x, g.y, g.z, g.t) == pytest.approx(FORM_ELEMENT, abs=1e-15)
         with pytest.raises(ShapeError):
-            matrix_to_osc(m)
+            matrix_to_osc(_with(FORM, entry, 2e-9))
 
     @pytest.mark.parametrize(
-        "t_hint", [math.nan, math.inf, -math.inf, 1j, np.zeros(2)],
+        "t_hint, error",
+        [(math.nan, DomainError), (math.inf, DomainError), (-math.inf, DomainError),
+         (1j, DomainError), (np.zeros(2), ShapeError)],
         ids=["nan", "inf", "-inf", "complex", "array"],
     )
-    def test_rejects_a_hint_that_is_not_one_finite_number(self, t_hint):
+    def test_rejects_a_hint_that_is_not_one_finite_number(self, t_hint, error):
         # NaN used to raise a bare ValueError and inf an OverflowError from
         # round, and a complex or array hint a TypeError
-        with pytest.raises(DomainError):
+        with pytest.raises(error):
             matrix_to_osc(np.eye(4), t_hint)
 
     def test_rejects_complex_matrix(self):
@@ -224,12 +248,6 @@ class TestMatrixForms:
     def test_orbit_of_nan_generator_is_rejected(self):
         with pytest.raises(ShapeError):
             exp_osc(OscVector(math.nan, 0.0, 1.0, 1.0))
-
-    def test_rejects_reflection(self):
-        m = np.eye(4)
-        m[1, 1] = -1.0
-        with pytest.raises(ShapeError):
-            matrix_to_osc(m)
 
     @pytest.mark.parametrize(
         "form, cls", [(osc_to_matrix, OscElement), (algebra_matrix, OscVector)]

@@ -534,9 +534,23 @@ class TestGrids:
         for same in (s_max, np.array(s_max)):
             assert np.array_equal(orbit_grid(w, same, 3), orbit_grid(w, float(s_max), 3))
         # NaN, inf and negative spans are evaluated, not refused
-        with np.errstate(all="ignore"):
-            for s_max in (-2.0, math.nan, math.inf):
-                assert orbit_grid(w, s_max, 3).shape == (4, 3)
+        for s_max in (-2.0, math.nan, math.inf):
+            assert orbit_grid(w, s_max, 3).shape == (4, 3)
+
+    @pytest.mark.parametrize(
+        "w, s_max, steps",
+        [
+            (OscVector(0.6, 0.0, 0.8, 1.0), math.inf, 3),
+            (OscVector(1e200, 0.0, 1e200, 1e200), 1.0, 4),
+        ],
+        ids=["infinite span", "overflowing generator"],
+    )
+    def test_orbit_grid_gives_nan_rows_without_a_warning(self, w, s_max, steps):
+        # numpy used to warn "invalid value encountered in multiply" at
+        # ds * W, and "overflow encountered in matmul" in the squarings
+        grid = orbit_grid(w, s_max, steps)
+        assert np.array_equal(grid[0], np.zeros(3))
+        assert np.isnan(grid[1:]).all()
 
     def test_orbit_grid_batch(self):
         w1 = homogeneous_generator(1.0, 0.0, 0.0, 1.0)

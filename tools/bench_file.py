@@ -13,9 +13,10 @@ Tier-1 test command once and records its wall time and counts.  That run
 deselects the one test that reads the newest BENCH file
 (TIER1_DESELECTED), since the file it is writing does not exist yet.
 
-If any declared metric is missing or not finite, or the Tier-1 command
-exits with a code other than 0, it names the failure, exits with code 1
-and writes nothing.  A whole run takes about 3.2 minutes on a 2-core
+If a run exits with a code other than 0 or fails an operation, any
+declared metric is missing or not finite, or the Tier-1 command exits
+with a code other than 0, it names the failure, exits with code 1 and
+writes nothing.  A whole run takes about 3.2 minutes on a 2-core
 Xeon.
 """
 
@@ -45,13 +46,14 @@ TIER1_COMMAND = [
 ]
 
 
-class MetricError(Exception):
-    """A declared metric is missing from a run's result or is not finite."""
+class RunError(Exception):
+    """A run exits with a code other than 0 or fails an operation, or a
+    declared metric is missing from its result or is not finite."""
 
 
 def run_benchmark(workload: str, seed: int, trace: int, root: Path = ROOT) -> dict:
     """One perfbench run in the checkout at root; returns the result file
-    it writes."""
+    it writes, or RunError unless every operation of the run passed."""
     path = root / RESULTS / f"result-{workload}-seed{seed}-trace{trace}.json"
     path.unlink(missing_ok=True)  # never read a stale result
     cmd = [
@@ -61,18 +63,22 @@ def run_benchmark(workload: str, seed: int, trace: int, root: Path = ROOT) -> di
     print("$", " ".join(cmd[1:]), file=sys.stderr, flush=True)
     proc = subprocess.run(cmd, cwd=root, stdout=subprocess.DEVNULL)
     if proc.returncode != 0 or not path.is_file():
-        sys.exit(f"error: {' '.join(cmd[1:])} exited with code {proc.returncode}")
-    return json.loads(path.read_text())
+        raise RunError(f"{' '.join(cmd[1:])} in {root} exited with code {proc.returncode}")
+    result = json.loads(path.read_text())
+    if failed := result["result"]["failed"]:
+        raise RunError(f"{' '.join(cmd[1:])} in {root}: {failed} of "
+                       f"{result['result']['attempted']} operations failed")
+    return result
 
 
 def finite_value(result: dict, workload: str, name: str) -> float:
-    """The value of metric `name` in a run's result, or MetricError."""
+    """The value of metric `name` in a run's result, or RunError."""
     metric = result["result"]["metrics"].get(name)
     if metric is None:
-        raise MetricError(f"{workload}: metric {name} is missing")
+        raise RunError(f"{workload}: metric {name} is missing")
     value = metric["value"]
     if not (isinstance(value, (int, float)) and math.isfinite(value)):
-        raise MetricError(f"{workload}: metric {name} is not finite ({value!r})")
+        raise RunError(f"{workload}: metric {name} is not finite ({value!r})")
     return float(value)
 
 
@@ -153,7 +159,7 @@ def main(argv=None) -> int:
             traced = run_benchmark(w, TRACED_SEED, 1)
             workloads[w] = summarise(declared, untraced, traced, w)
             environment = environment or untraced[0]["environment"]
-    except MetricError as exc:
+    except RunError as exc:
         print(f"error: {exc}; nothing written", file=sys.stderr)
         return 1
     print("$ tier-1 tests", file=sys.stderr, flush=True)

@@ -28,10 +28,11 @@ test's p over the pairs that are not ties, and two verdicts:
 - "within_bound": the change's median is not worse than the base's by
   more than the metric's bound in BENCHMARK.json.
 
-A run in which either side has a failed operation, or a metric that is
-missing or not finite, stops the tool with code 1 before it writes
-anything.  The worktrees are removed on every exit.  Ten pairs of 15 s
-runs of one workload take about 5 minutes on a 2-core Xeon.
+A run that bench_file's run_benchmark refuses (an exit code other than
+0 or a failed operation, on either side) or a metric that is missing or
+not finite stops the tool with code 1 before it writes anything.  The
+worktrees are removed on every exit.  Ten pairs of 15 s runs of one
+workload take about 5 minutes on a 2-core Xeon.
 """
 
 from __future__ import annotations
@@ -46,24 +47,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_file import SECONDS, MetricError, finite_value, quartiles, run_benchmark
+from bench_file import SECONDS, RunError, finite_value, quartiles, run_benchmark
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 2800
 PAIRS = 10  # the fewest from which a gain may be claimed
-
-
-class FailedRun(Exception):
-    """A benchmark run reports a failed operation."""
-
-
-def check_run(result: dict, side: str, workload: str) -> dict:
-    """result itself, or FailedRun if any of its operations failed."""
-    failed = result["result"]["failed"]
-    if failed:
-        raise FailedRun(f"{workload}: {failed} of {result['result']['attempted']} "
-                        f"operations failed on the {side} side")
-    return result
 
 
 def sign_test_p(wins: int, losses: int) -> float:
@@ -121,8 +109,7 @@ def run_pairs(declared: dict, workload: str, sides: dict) -> dict:
         order = list(sides) if i % 2 == 0 else list(sides)[::-1]
         for side in order:
             print(f"# {workload} pair {i + 1}/{PAIRS}, {side}", file=sys.stderr, flush=True)
-            result = run_benchmark(workload, SEED + i, 0, sides[side])
-            runs[side].append(check_run(result, side, workload))
+            runs[side].append(run_benchmark(workload, SEED + i, 0, sides[side]))
     entry = {
         "first": ["base" if i % 2 == 0 else "change" for i in range(PAIRS)],
         "attempted": {side: sum(r["result"]["attempted"] for r in rs)
@@ -174,7 +161,7 @@ def main(argv=None) -> int:
                      for side, commit in commits.items()}
             for w in args.workload or names:
                 out["workloads"][w] = run_pairs(declared, w, sides)
-    except (FailedRun, MetricError) as exc:
+    except RunError as exc:
         print(f"error: {exc}; nothing written", file=sys.stderr)
         return 1
     print(json.dumps(out, indent=2))
