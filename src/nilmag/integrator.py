@@ -134,11 +134,13 @@ def _workspace(n, thread):
     return points, slopes, rows, t1, t2
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def batch_step(state, h, q):
     """One RK4 step on a (6, n) state, as a new (6, n) array; h is one real
     step, q is one charge or an array of n.  Each column equals _step on
     its floats.  Raises DomainError for complex input, ShapeError for
-    other shapes."""
+    other shapes.  A non-finite step or an overflowing state gives
+    non-finite columns, without a numpy warning."""
     state, q = _real_array(state), _real_array(q)
     h = _real_scalar(h, "step")
     if state.ndim != 2 or state.shape[0] != 6 or (q.ndim and q.shape != state.shape[1:]):

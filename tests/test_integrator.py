@@ -20,7 +20,7 @@ from nilmag import (
     magnetic_point_from,
     magnetic_velocity,
 )
-from nilmag.cli_reporting import _SWEEP_H, check_ode_sweep
+from nilmag.cli_reporting import _SWEEP_BLOCK, _SWEEP_H, check_ode_sweep
 from nilmag.integrator import _rhs, _step, batch_step, rk4_states
 
 ORIGIN = NilPoint(0.0, 0.0, 0.0)
@@ -273,9 +273,19 @@ class TestBatch:
         for same in (h, np.array(h)):
             assert np.array_equal(batch_step(state, same, q), batch_step(state, float(h), q))
         # NaN, inf and negative steps are stepped, not refused
-        with np.errstate(all="ignore"):
-            for h in (-1e-3, math.nan, math.inf):
-                assert batch_step(state, h, q).shape == (6, 4)
+        for h in (-1e-3, math.nan, math.inf):
+            assert batch_step(state, h, q).shape == (6, 4)
+
+    @pytest.mark.parametrize(
+        "state, h",
+        [(np.ones((6, 2)), math.inf), (np.full((6, 2), 1e200), 1e-3),
+         (np.full((6, 2), math.inf), 1e-3)],
+        ids=["infinite step", "overflowing state", "infinite state"],
+    )
+    def test_gives_nan_columns_without_a_warning(self, state, h):
+        # numpy used to warn "invalid value encountered in add", "overflow
+        # encountered in multiply" and "invalid value encountered in subtract"
+        assert np.isnan(batch_step(state, h, 0.5)).all()
 
     def test_threads_do_not_share_a_workspace(self):
         # four threads step states of the same width, switching as often as
@@ -373,14 +383,25 @@ def stepwise_ode_sweep(seed, n, h, s_max):
 
 class TestBlockedSweep:
     @pytest.mark.parametrize(
-        "n, s_max",
+        "n, blocks",
         [
-            (7, 0.1234),  # 123 steps: a full block and a partial one
-            (1, 0.25),
-            (3, 0.2),  # a whole number of blocks
+            (7, 1.23),  # a full block and a partial one
+            (1, 2.5),
+            (3, 2.0),  # a whole number of blocks
         ],
     )
-    def test_matches_stepwise_sweep_exactly(self, n, s_max):
+    def test_matches_stepwise_sweep_exactly(self, n, blocks):
+        # s_max in blocks of steps, so each case covers the same blocks at
+        # any _SWEEP_H
+        s_max = blocks * _SWEEP_H * _SWEEP_BLOCK
         results = check_ode_sweep(11, n=n, s_max=s_max)
         assert [r.max_error for r in results] == stepwise_ode_sweep(11, n, _SWEEP_H, s_max)
         assert all(r.max_error > 0.0 for r in results)
+
+    def test_a_small_charge_fault_fails_the_closed_form_check(self):
+        # the smallest coupling fault probed, q * (1 + 3e-8) in the
+        # integrator, failed ode_vs_closed_form at every step from 1e-3 to
+        # 4e-3; a step that loses it has lost sensitivity
+        result = check_ode_sweep(0, j_strength=1.0 + 3e-8)[0]
+        assert result.name == "ode_vs_closed_form"
+        assert not result.passed
