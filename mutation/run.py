@@ -1,5 +1,5 @@
-"""Mutation testing of ``nilmag verify --seed 0``, at several steps of its
-ODE sweep; writes MUTANTS.json.
+"""Mutation testing of ``nilmag verify --seed 0``, at several values of
+the constants that set its RK4 steps; writes MUTANTS.json.
 
     python3 mutation/run.py [--out MUTANTS.json]
 
@@ -16,20 +16,24 @@ A mutant is its module's source with that one token replaced, so every
 other line stays as it is.  Sites are numbered in module and source
 order, the same on every run.
 
-Runs.  Each mutant runs ``nilmag verify --seed 0`` in a child process, on
-a temporary copy of src/ that holds the mutant, at each step of STEPS.
-The step is written into the copy's ``_SWEEP_H = ...`` line of
-cli_reporting.py; the checked-out source is never changed.  A mutant is
-killed at a step when verify exits with a code other than 0 (1 for a
-failed check or a crash, 2 for a refused input or a MemoryError) or when
-it is still running at the timeout.  Before any mutant, the unmutated
-copy must pass at every step, or the harness stops with code 1.
+Runs.  CONSTANTS names the constants of cli_reporting.py that are
+varied, each with its candidate values (the first is the reference) and
+the checks that read it.  Each mutant runs ``nilmag verify --seed 0`` in
+a child process, on a temporary copy of src/ that holds the mutant,
+first with every constant at its reference, then at each other candidate
+of one constant with the rest at their references.  The values are
+written into the copy's ``NAME = ...`` lines of cli_reporting.py; the
+checked-out source is never changed.  A mutant is killed in a run when
+verify exits with a code other than 0 (1 for a failed check or a crash,
+2 for a refused input or a MemoryError) or when it is still running at
+the timeout.  Before any mutant, the unmutated copy must pass in every
+one of these settings, or the harness stops with code 1.
 
-One shortcut: a mutant whose report at STEPS[0] fails a check other than
-the three ODE checks (ODE_CHECKS) is not run again.  That report is
-recorded for every step, marked "reused", because only check_ode_sweep
-reads _SWEEP_H: each other check computes the same errors at any step,
-so that failure, and the kill, stand at every step.
+One shortcut: a mutant whose reference report fails a check that does
+not read a constant is not run again at that constant's candidates.
+That report is recorded for each of them, marked "reused": the failed
+check computes the same errors at any value of the constant, so that
+failure, and the kill, stand.
 
 Children.  At most JOBS children run at a time.  Each starts its own
 process group with its address space limited to MEMORY_LIMIT bytes
@@ -37,13 +41,16 @@ process group with its address space limited to MEMORY_LIMIT bytes
 its group at the timeout.  Every child still running is stopped on any
 exit of the harness, Ctrl-C included.
 
-MUTANTS.json holds the steps; per step the number of mutants killed
-and the ids of those killed at STEPS[0] that survive it ("lost_kills");
-the chosen step, the largest under which every mutant killed at
-STEPS[0] is still killed; per function [killed, mutants] at STEPS[0];
-the wall time; and per mutant its site and, per step, its exit code
-(null after a timeout) and the names of the checks it failed.  The full
-run takes about 4 minutes on a 2-core Xeon.
+MUTANTS.json holds the number of mutants killed in the reference run;
+per constant its candidates, the checks that read it, and per candidate
+the number of mutants killed, the runs reused and the ids of those
+killed in the reference run that survive it ("lost_kills"), and the
+chosen value, the largest candidate under which no kill is lost; per
+function [killed, mutants] in the reference run; the wall time; and per
+mutant its site and, per run ("reference" or the line written, such as
+"_SWEEP_H = 0.002"), its exit code (null after a timeout) and the names
+of the checks it failed.  The full run takes about 10 minutes on a 2-core
+Xeon.
 """
 
 from __future__ import annotations
@@ -67,9 +74,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "nilmag"
 MODULES = ("trajectories", "integrator", "lie_core", "geometry")
-# the ODE sweep's step: the first is the reference the others must match
-STEPS = (1e-3, 2e-3, 2.5e-3, 4e-3)
-ODE_CHECKS = frozenset({"ode_vs_closed_form", "conservation_speed", "conservation_contact_angle"})
+# the constants of cli_reporting.py varied, one at a time: name ->
+# (candidates, the first the reference the others must match; the checks
+# that read it)
+CONSTANTS = {
+    "_SWEEP_H": (
+        (1e-3, 2e-3, 2.5e-3, 4e-3, 5e-3),
+        frozenset({"ode_vs_closed_form", "conservation_speed", "conservation_contact_angle"}),
+    ),
+    "_CONVERGENCE_STEPS": (
+        ((4e-3, 2e-3, 1e-3), (8e-3, 4e-3, 2e-3), (1.6e-2, 8e-3, 4e-3)),
+        frozenset({"convergence_order"}),
+    ),
+}
+REFERENCE = "reference"
 JOBS = 2
 MEMORY_LIMIT = 1 << 30
 TIMEOUT = 60.0
@@ -150,12 +168,53 @@ def mutate(source: str, site: dict) -> str:
     return "".join(lines)
 
 
-def with_step(source: str, h: float) -> str:
-    """cli_reporting's source with its one ``_SWEEP_H = ...`` line set to h."""
-    new, count = re.subn(r"^_SWEEP_H = .*$", f"_SWEEP_H = {h!r}", source, flags=re.M)
-    if count != 1:
-        raise ValueError(f"expected one _SWEEP_H line, found {count}")
-    return new
+def with_constants(source: str, values: dict) -> str:
+    """cli_reporting's source with its one ``NAME = ...`` line set to
+    ``NAME = value!r`` for each name and value of values."""
+    for name, value in values.items():
+        source, count = re.subn(rf"^{re.escape(name)} = .*$", f"{name} = {value!r}",
+                                source, flags=re.M)
+        if count != 1:
+            raise ValueError(f"expected one {name} line, found {count}")
+    return source
+
+
+def run_key(name: str, value) -> str:
+    """The key of a run at one candidate: the line it writes."""
+    return f"{name} = {value!r}"
+
+
+def settings(constants: dict) -> dict:
+    """The runs of a mutant, each with the value of every constant: the
+    reference run, then, keyed by the line it writes, each candidate of
+    one constant after its reference, with the rest at their references."""
+    reference = {name: candidates[0] for name, (candidates, _) in constants.items()}
+    runs = {REFERENCE: reference}
+    for name, (candidates, _) in constants.items():
+        for value in candidates[1:]:
+            runs[run_key(name, value)] = {**reference, name: value}
+    return runs
+
+
+def rerun(reference: dict, reads: frozenset) -> bool:
+    """Whether a mutant with this reference outcome is run again at the
+    candidates of a constant read by the checks in reads: not when it
+    fails a check outside reads, which fails at any value of the
+    constant."""
+    return not set(reference["failed"]) - reads
+
+
+def mutant_runs(reference: dict, reruns: dict, constants: dict) -> dict:
+    """One mutant's runs keyed as in settings: its reference outcome,
+    and per candidate the outcome in reruns (keyed the same), or the
+    reference outcome marked "reused" where rerun says no."""
+    runs = {REFERENCE: reference}
+    for name, (candidates, reads) in constants.items():
+        again = rerun(reference, reads)
+        for value in candidates[1:]:
+            key = run_key(name, value)
+            runs[key] = reruns[key] if again else {**reference, "reused": True}
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +290,13 @@ def _outcome(code, out: str, err: str) -> dict:
 
 
 def _verify_tasks(jobs, sources: dict, scratch: Path):
-    """run_children's task for each (key, module, text, h) of jobs: verify
-    on a copy of src/ whose module holds text (module None: no mutant)
-    and whose _SWEEP_H is h, made under scratch when the task is read."""
+    """run_children's task for each (key, module, text, values) of jobs:
+    verify on a copy of src/ whose module holds text (module None: no
+    mutant) and whose constants have the values of values, made under
+    scratch when the task is read."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env.update(PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    for key, module, text, h in jobs:
+    for key, module, text, values in jobs:
         cwd = Path(tempfile.mkdtemp(dir=scratch))
         pkg = cwd / "src" / "nilmag"
         pkg.mkdir(parents=True)
@@ -244,7 +304,7 @@ def _verify_tasks(jobs, sources: dict, scratch: Path):
             if name == module:
                 source = text
             elif name == "cli_reporting":
-                source = with_step(source, h)
+                source = with_constants(source, values)
             (pkg / f"{name}.py").write_text(source)
         yield (key, [sys.executable, "-c", CHILD, *VERIFY], cwd,
                {**env, "PYTHONPATH": str(cwd / "src")})
@@ -260,22 +320,35 @@ def _run(jobs: list, sources: dict, scratch: Path) -> dict:
     return got
 
 
-def summary(mutants: list[dict]) -> dict:
-    """MUTANTS.json's counts from the mutants' runs."""
-    ref = repr(STEPS[0])
-    killed = {repr(h): {i for i, m in enumerate(mutants) if m["runs"][repr(h)]["exit"] != 0}
-              for h in STEPS}
-    lost = {h: sorted(killed[ref] - k) for h, k in killed.items()}
-    chosen = max(h for h in STEPS if not lost[repr(h)])
+def summary(mutants: list[dict], constants: dict = CONSTANTS) -> dict:
+    """MUTANTS.json's counts from the runs of the mutants (each keyed as
+    in settings)."""
+    def killed(key):
+        return {i for i, m in enumerate(mutants) if m["runs"][key]["exit"] != 0}
+
+    ref = killed(REFERENCE)
+    per_constant = {}
+    for name, (candidates, reads) in constants.items():
+        keys = {value: REFERENCE if value == candidates[0] else run_key(name, value)
+                for value in candidates}
+        lost = {value: sorted(ref - killed(key)) for value, key in keys.items()}
+        per_constant[name] = {
+            "candidates": list(candidates),
+            "reads": sorted(reads),
+            "killed": {repr(value): len(killed(key)) for value, key in keys.items()},
+            "reused": {repr(value): sum(bool(m["runs"][key].get("reused")) for m in mutants)
+                       for value, key in keys.items()},
+            "lost_kills": {repr(value): ids for value, ids in lost.items()},
+            "chosen": max(value for value in candidates if not lost[value]),
+        }
     by_function = {}
     for i, m in enumerate(mutants):
         score = by_function.setdefault(f"{m['module']}.{m['function']}", [0, 0])
-        score[0] += i in killed[ref]
+        score[0] += i in ref
         score[1] += 1
     return {
-        "killed": {h: len(k) for h, k in killed.items()},
-        "lost_kills": lost,
-        "chosen_step": chosen,
+        "killed": len(ref),
+        "constants": per_constant,
         "score_per_function": dict(sorted(by_function.items())),
     }
 
@@ -290,28 +363,29 @@ def main(argv=None) -> int:
     found = [{"module": module, **site} for module in MODULES for site in sites(sources[module])]
     mutants = [{"id": i, **site} for i, site in enumerate(found)]
     texts = [mutate(sources[m["module"]], m) for m in mutants]
+    runs = settings(CONSTANTS)
     with tempfile.TemporaryDirectory(prefix="nilmag-mutants-") as scratch:
-        base = _run([(repr(h), None, None, h) for h in STEPS], sources, Path(scratch))
+        base = _run([(key, None, None, values) for key, values in runs.items()],
+                    sources, Path(scratch))
         if any(rec["exit"] != 0 for rec in base.values()):
             print(f"error: verify fails without a mutant: {base}", file=sys.stderr)
             return 1
-        first = _run([(i, m["module"], texts[i], STEPS[0]) for i, m in enumerate(mutants)],
+        first = _run([(i, m["module"], texts[i], runs[REFERENCE]) for i, m in enumerate(mutants)],
                      sources, Path(scratch))
-        # a failed check that does not read _SWEEP_H fails at every step
-        rerun = {i for i, rec in first.items() if not set(rec["failed"]) - ODE_CHECKS}
-        rest = _run([((i, h), mutants[i]["module"], texts[i], h)
-                     for i in sorted(rerun) for h in STEPS[1:]],
+        keys = [(run_key(name, value), reads) for name, (candidates, reads) in CONSTANTS.items()
+                for value in candidates[1:]]
+        rest = _run([((i, key), m["module"], texts[i], runs[key]) for key, reads in keys
+                     for i, m in enumerate(mutants) if rerun(first[i], reads)],
                     sources, Path(scratch))
+    reruns = {i: {} for i in range(len(mutants))}
+    for (i, key), rec in rest.items():
+        reruns[i][key] = rec
     for i, m in enumerate(mutants):
-        m["runs"] = {repr(STEPS[0]): first[i]}
-        for h in STEPS[1:]:
-            m["runs"][repr(h)] = rest[i, h] if i in rerun else {**first[i], "reused": True}
+        m["runs"] = mutant_runs(first[i], reruns[i], CONSTANTS)
 
     head = {
         "command": "nilmag " + " ".join(VERIFY),
         "modules": list(MODULES),
-        "steps": list(STEPS),
-        "reference_step": STEPS[0],
         "total": len(mutants),
         **summary(mutants),
         "wall_s": round(time.monotonic() - t0, 1),
@@ -319,8 +393,9 @@ def main(argv=None) -> int:
     text = json.dumps(head, indent=2)[:-2] + ',\n  "mutants": [\n'
     text += ",\n".join("    " + json.dumps(m) for m in mutants) + "\n  ]\n}\n"
     args.out.write_text(text)
-    print(json.dumps({k: head[k] for k in ("total", "killed", "chosen_step", "wall_s")}),
-          file=sys.stderr)
+    chosen = {name: c["chosen"] for name, c in head["constants"].items()}
+    print(json.dumps({"total": head["total"], "killed": head["killed"], "chosen": chosen,
+                      "wall_s": head["wall_s"]}), file=sys.stderr)
     return 0
 
 

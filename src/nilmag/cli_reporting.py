@@ -141,10 +141,10 @@ def check_orbit_formulas(seed: int, n: int = 500) -> CheckResult:
 # steps of check_ode_sweep per closed-form call; its temporaries are a few
 # dozen arrays of _SWEEP_BLOCK * n floats, so the block stays small
 _SWEEP_BLOCK = 100
-# the RK4 step of check_ode_sweep: 2500 steps over [0, 10].  RK4's error
+# the RK4 step of check_ode_sweep: 2000 steps over [0, 10].  RK4's error
 # is O(h^4), and mutation/run.py found that the checks kill the same
-# mutants at 4e-3 as at 1e-3 (MUTANTS.json)
-_SWEEP_H = 4e-3
+# mutants at 5e-3 as at 1e-3 (MUTANTS.json)
+_SWEEP_H = 5e-3
 
 
 def check_ode_sweep(
@@ -200,6 +200,12 @@ def check_ode_sweep(
     ]
 
 
+# the RK4 steps of check_convergence over [0, 10], each half the one
+# before: 4375 steps in all.  mutation/run.py found that the checks kill
+# the same mutants at these steps as at (4e-3, 2e-3, 1e-3) (MUTANTS.json)
+_CONVERGENCE_STEPS = (1.6e-2, 8e-3, 4e-3)
+
+
 def check_convergence(j_strength: float = 1.0) -> CheckResult:
     """Order of convergence of the integrator on one slant instance.
 
@@ -213,8 +219,8 @@ def check_convergence(j_strength: float = 1.0) -> CheckResult:
     init = InitialData(NilPoint(0.0, 0.0, 0.0), FrameVector(a, b, c), q * j_strength)
 
     errs = []
-    for h, n in ((4e-3, 2500), (2e-3, 5000), (1e-3, 10000)):
-        for u in rk4_states(init, StepConfig(h, n)):
+    for h in _CONVERGENCE_STEPS:
+        for u in rk4_states(init, StepConfig(h, round(10.0 / h))):
             pass
         errs.append(math.dist(u[:3], (target.x, target.y, target.z)))
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -56,7 +56,7 @@ class StepConfig:
             raise DomainError("step count must be a nonnegative integer")
 
 
-def _rhs(x, y, z, vx, vy, vz, q):
+def _rhs(x, y, vx, vy, vz, q):
     ct = vz + 0.5 * (vx * y - x * vy)
     w = q + ct
     ax = -w * vy
@@ -66,18 +66,18 @@ def _rhs(x, y, z, vx, vy, vz, q):
 
 
 def _step(u, h, q):
-    # classical RK4 on the 6-tuple, each stage's arguments written out
+    # classical RK4, each stage's arguments written out; _rhs reads no z
     x, y, z, vx, vy, vz = u
     hh, h6 = 0.5 * h, h / 6.0
-    a1, b1, c1, d1, e1, f1 = _rhs(x, y, z, vx, vy, vz, q)
+    a1, b1, c1, d1, e1, f1 = _rhs(x, y, vx, vy, vz, q)
     a2, b2, c2, d2, e2, f2 = _rhs(
-        x + hh * a1, y + hh * b1, z + hh * c1, vx + hh * d1, vy + hh * e1, vz + hh * f1, q
+        x + hh * a1, y + hh * b1, vx + hh * d1, vy + hh * e1, vz + hh * f1, q
     )
     a3, b3, c3, d3, e3, f3 = _rhs(
-        x + hh * a2, y + hh * b2, z + hh * c2, vx + hh * d2, vy + hh * e2, vz + hh * f2, q
+        x + hh * a2, y + hh * b2, vx + hh * d2, vy + hh * e2, vz + hh * f2, q
     )
     a4, b4, c4, d4, e4, f4 = _rhs(
-        x + h * a3, y + h * b3, z + h * c3, vx + h * d3, vy + h * e3, vz + h * f3, q
+        x + h * a3, y + h * b3, vx + h * d3, vy + h * e3, vz + h * f3, q
     )
     return (
         x + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4), y + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4),

@@ -20,7 +20,14 @@ from nilmag import (
     magnetic_point_from,
     magnetic_velocity,
 )
-from nilmag.cli_reporting import _SWEEP_BLOCK, _SWEEP_H, check_ode_sweep
+from nilmag import cli_reporting
+from nilmag.cli_reporting import (
+    _CONVERGENCE_STEPS,
+    _SWEEP_BLOCK,
+    _SWEEP_H,
+    check_convergence,
+    check_ode_sweep,
+)
 from nilmag.integrator import _rhs, _step, batch_step, rk4_states
 
 ORIGIN = NilPoint(0.0, 0.0, 0.0)
@@ -53,29 +60,31 @@ def random_unit_rows(rng, n):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def rhs_of(x, y, z, vx, vy, vz, q):
-    """_rhs on one state, as a list of six floats."""
-    return [float(d) for d in _rhs(x, y, z, vx, vy, vz, q)]
+def rhs_of(x, y, vx, vy, vz, q):
+    """_rhs on one state without its z, which _rhs does not read, as a
+    list of six floats."""
+    return [float(d) for d in _rhs(x, y, vx, vy, vz, q)]
 
 
 class TestLorentzRhs:
     def test_vertical_flow_is_straight(self):
         for q in (0.0, 1.0, -3.7):
-            assert rhs_of(0.0, 0.0, 0.0, 0.0, 0.0, 1.0, q) == [0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+            assert rhs_of(0.0, 0.0, 0.0, 0.0, 1.0, q) == [0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
 
     def test_horizontal_flow_without_charge(self):
-        assert rhs_of(0.0, 0.0, 0.0, 0.6, 0.8, 0.0, 0.0) == [0.6, 0.8, 0.0, 0.0, 0.0, 0.0]
+        assert rhs_of(0.0, 0.0, 0.6, 0.8, 0.0, 0.0) == [0.6, 0.8, 0.0, 0.0, 0.0, 0.0]
 
     def test_charged_horizontal_flow_curves(self):
-        assert rhs_of(0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0) == [1.0, 0.0, 0.0, 0.0, 1.0, 0.0]
+        assert rhs_of(0.0, 0.0, 1.0, 0.0, 0.0, 1.0) == [1.0, 0.0, 0.0, 0.0, 1.0, 0.0]
 
     def test_conserves_contact_cosine(self):
         # The derivative of vz + (vx y - x vy)/2 along the flow must cancel.
         rng = np.random.default_rng(2)
         for _ in range(25):
-            x, y, z, vx, vy, vz = rng.uniform(-2.0, 2.0, size=6)
+            # the same draws as with z, which _rhs does not read
+            x, y, _, vx, vy, vz = rng.uniform(-2.0, 2.0, size=6)
             q = float(rng.uniform(-2.0, 2.0))
-            dx, dy, dz, ax, ay, az = rhs_of(x, y, z, vx, vy, vz, q)
+            dx, dy, dz, ax, ay, az = rhs_of(x, y, vx, vy, vz, q)
             ct_dot = az + 0.5 * (ax * y + vx * vy - dx * vy - x * ay)
             assert ct_dot == pytest.approx(0.0, abs=1e-14)
 
@@ -314,11 +323,16 @@ class TestBatch:
 
 def generator_step(u, h, q):
     """The RK4 step as it was written with generator expressions and zip:
-    the reference that integrator._step must match bit for bit."""
-    k1 = _rhs(*u, q)
-    k2 = _rhs(*(ui + 0.5 * h * ki for ui, ki in zip(u, k1)), q)
-    k3 = _rhs(*(ui + 0.5 * h * ki for ui, ki in zip(u, k2)), q)
-    k4 = _rhs(*(ui + h * ki for ui, ki in zip(u, k3)), q)
+    the reference that integrator._step must match bit for bit.  _rhs
+    takes each stage's state without its z."""
+
+    def rhs(x, y, z, vx, vy, vz):
+        return _rhs(x, y, vx, vy, vz, q)
+
+    k1 = rhs(*u)
+    k2 = rhs(*(ui + 0.5 * h * ki for ui, ki in zip(u, k1)))
+    k3 = rhs(*(ui + 0.5 * h * ki for ui, ki in zip(u, k2)))
+    k4 = rhs(*(ui + h * ki for ui, ki in zip(u, k3)))
     return tuple(
         ui + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
         for ui, a, b, c, d in zip(u, k1, k2, k3, k4)
@@ -401,7 +415,41 @@ class TestBlockedSweep:
     def test_a_small_charge_fault_fails_the_closed_form_check(self):
         # the smallest coupling fault probed, q * (1 + 3e-8) in the
         # integrator, failed ode_vs_closed_form at every step from 1e-3 to
-        # 4e-3; a step that loses it has lost sensitivity
+        # 5e-3 (at 5e-3 its error reads 1.52 times the tolerance); a step
+        # that loses it has lost sensitivity
         result = check_ode_sweep(0, j_strength=1.0 + 3e-8)[0]
         assert result.name == "ode_vs_closed_form"
+        assert not result.passed
+
+
+class TestConvergenceSteps:
+    def test_steps_halve_and_cover_the_span_in_whole_steps(self):
+        for h in _CONVERGENCE_STEPS:
+            assert round(10.0 / h) * h == pytest.approx(10.0, rel=1e-12)
+        for h, half in zip(_CONVERGENCE_STEPS, _CONVERGENCE_STEPS[1:]):
+            assert half == h / 2.0
+
+    def test_ratios_are_those_of_a_fourth_order_step(self, monkeypatch):
+        # each halving shrinks the error about 16-fold: a step so large
+        # that the error is not yet shrinking as h^4 passes the check's
+        # bound of 12 too (at 3.2e-2, 1.6e-2, 8e-3 the first ratio is
+        # about 1e5), so the ratios are pinned here
+        seen = {}
+        real = cli_reporting._result
+
+        def spy(name, errors, tol):
+            seen[name] = np.asarray(errors)
+            return real(name, errors, tol)
+
+        monkeypatch.setattr(cli_reporting, "_result", spy)
+        assert check_convergence().passed
+        ratios = 12.0 - seen["convergence_order"]
+        assert ratios.shape == (len(_CONVERGENCE_STEPS) - 1,)
+        assert np.all((15.0 <= ratios) & (ratios <= 16.5)), ratios
+
+    def test_a_small_charge_fault_fails_the_order_check(self):
+        # q * (1 + 1e-6) in the integrator leaves ratios near 1: the error
+        # of the fault, not of the step, dominates
+        result = check_convergence(1.0 + 1e-6)
+        assert result.name == "convergence_order"
         assert not result.passed
