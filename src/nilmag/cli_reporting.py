@@ -142,8 +142,8 @@ def check_orbit_formulas(seed: int, n: int = 500) -> CheckResult:
 # dozen arrays of _SWEEP_BLOCK * n floats, so the block stays small
 _SWEEP_BLOCK = 100
 # the RK4 step of check_ode_sweep: 2000 steps over [0, 10].  RK4's error
-# is O(h^4), and mutation/run.py found that the checks kill the same
-# mutants at 5e-3 as at 1e-3 (MUTANTS.json)
+# is O(h^4); mutation/run.py killed the same mutants at 5e-3 as at 1e-3
+# (CHANGES.md; the runs are in MUTANTS.json at commit fce9cee)
 _SWEEP_H = 5e-3
 
 
@@ -201,8 +201,8 @@ def check_ode_sweep(
 
 
 # the RK4 steps of check_convergence over [0, 10], each half the one
-# before: 4375 steps in all.  mutation/run.py found that the checks kill
-# the same mutants at these steps as at (4e-3, 2e-3, 1e-3) (MUTANTS.json)
+# before: 4375 steps in all.  mutation/run.py killed the same mutants at
+# these as at (4e-3, 2e-3, 1e-3) (CHANGES.md; MUTANTS.json at fce9cee)
 _CONVERGENCE_STEPS = (1.6e-2, 8e-3, 4e-3)
 
 

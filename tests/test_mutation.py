@@ -1,5 +1,5 @@
-"""mutation/run.py's sites, mutants, constant lines, choice of values and
-child control, on a small source string, made-up runs and a child that
+"""mutation/run.py's sites, mutants, copies of src/, counts and child
+control, on a small source string, made-up outcomes and a child that
 sleeps: no mutant runs."""
 
 import importlib.util
@@ -60,73 +60,42 @@ def test_each_mutant_compiles_and_changes_its_one_site(harness):
         assert changed == [site["line"]]
 
 
-@pytest.mark.parametrize("name", ["_SWEEP_H", "_CONVERGENCE_STEPS"])
-def test_each_constant_is_written_into_a_copy_of_its_one_line(harness, name):
-    source = (ROOT / "src" / "nilmag" / "cli_reporting.py").read_text()
-    candidates, _ = harness.CONSTANTS[name]
-    for value in candidates:
-        written = harness.with_constants(source, {name: value})
-        [(old, new)] = [(a, b) for a, b in zip(source.splitlines(), written.splitlines(),
-                                               strict=True) if a != b]
-        assert old.startswith(f"{name} = ")
-        assert new == harness.run_key(name, value)
-    with pytest.raises(ValueError):
-        harness.with_constants(SOURCE, {name: candidates[0]})
-
-
-def test_the_table_names_each_constant_the_harness_varies(harness):
-    assert set(harness.CONSTANTS) == {"_SWEEP_H", "_CONVERGENCE_STEPS"}
-    runs = harness.settings(harness.CONSTANTS)
-    reference = runs.pop(harness.REFERENCE)
-    # every other run moves one constant off its reference
-    for key, values in runs.items():
-        [moved] = [name for name in values if values[name] != reference[name]]
-        assert key == harness.run_key(moved, values[moved])
-
-
-# a made-up table: A read by check "a", B by check "b"
-TABLE = {"A": ((1.0, 2.0, 3.0, 4.0), frozenset({"a"})),
-         "B": (((1, 2), (2, 4)), frozenset({"b"}))}
+def test_each_copy_holds_every_unmutated_module_byte_for_byte(harness, tmp_path):
+    sources = {f.stem: f.read_text() for f in sorted(harness.SRC.glob("*.py"))}
+    assert "cli_reporting" in sources
+    mutant = harness.mutate(sources["integrator"], harness.sites(sources["integrator"])[0])
+    jobs = [("baseline", None, None), (0, "integrator", mutant)]
+    for (key, module, text), (got, argv, cwd, env) in zip(
+            jobs, harness._verify_tasks(jobs, sources, tmp_path), strict=True):
+        assert got == key
+        assert argv[-3:] == ["verify", "--seed", "0"]
+        assert env["PYTHONPATH"] == str(cwd / "src")
+        pkg = cwd / "src" / "nilmag"
+        assert sorted(f.stem for f in pkg.glob("*.py")) == sorted(sources)
+        for name, source in sources.items():
+            expected = text if name == module else source
+            assert (pkg / f"{name}.py").read_bytes() == expected.encode()
 
 
 def outcome(*failed, code=None):
-    return {"exit": 1 if failed else code or 0, "failed": list(failed)}
+    return {"exit": 1 if failed else code, "failed": list(failed)}
 
 
-def test_summary_picks_the_largest_candidate_without_a_lost_kill(harness):
-    # mutant 0: killed by "a" in the reference run and at A = 2.0 and 4.0,
-    # not at 3.0, and reused at B; mutant 1: a crash without a report, killed everywhere;
-    # mutant 2: killed by "c", which reads neither constant, so reused;
-    # mutant 3: survives, and is killed only at A = 4.0; mutant 4: killed
-    # by "b" in the reference run, so its A runs are reused, and by
-    # nothing at B = (2, 4)
-    a_runs = {"A = 2.0": outcome("a"), "A = 3.0": outcome(), "A = 4.0": outcome("a")}
+def test_summary_counts_every_exit_but_0_as_a_kill(harness):
     records = [
-        (outcome("a"), a_runs),
-        (outcome(code=1), {**{k: outcome(code=1) for k in a_runs},
-                           "B = (2, 4)": outcome(code=1)}),
-        (outcome("c", "a"), {}),
-        (outcome(), {"A = 2.0": outcome(), "A = 3.0": outcome(), "A = 4.0": outcome("a"),
-                     "B = (2, 4)": outcome()}),
-        (outcome("b"), {"B = (2, 4)": outcome()}),
+        ("f", outcome("a", "b")),                          # a failed check
+        ("f", {**outcome(code=1), "error": "ZeroDivisionError: division by zero"}),
+        ("g", {**outcome(code=2), "error": "error: velocity must be a unit vector"}),
+        ("g", {**outcome(code=None), "timeout": True}),
+        ("g", outcome(code=0)),                            # a survivor
+        ("h", outcome(code=0)),
     ]
-    mutants = [{"module": "m", "function": "f", "runs": harness.mutant_runs(ref, again, TABLE)}
-               for ref, again in records]
-    assert mutants[2]["runs"]["A = 3.0"] == {**outcome("c", "a"), "reused": True}
-    assert mutants[4]["runs"]["A = 4.0"] == {**outcome("b"), "reused": True}
-    assert "reused" not in mutants[4]["runs"]["B = (2, 4)"]
-
-    got = harness.summary(mutants, TABLE)
-    assert got["killed"] == 4
-    a, b = got["constants"]["A"], got["constants"]["B"]
-    assert a["lost_kills"] == {"1.0": [], "2.0": [], "3.0": [0], "4.0": []}
-    assert a["killed"] == {"1.0": 4, "2.0": 4, "3.0": 3, "4.0": 5}
-    assert a["reused"] == {"1.0": 0, "2.0": 2, "3.0": 2, "4.0": 2}
-    assert a["chosen"] == 4.0
-    assert b["lost_kills"] == {"(1, 2)": [], "(2, 4)": [4]}
-    assert b["reused"] == {"(1, 2)": 0, "(2, 4)": 2}
-    assert b["chosen"] == (1, 2)
-    assert got["score_per_function"] == {"m.f": [4, 5]}
+    mutants = [{"id": i, "module": "m", "function": func, **rec}
+               for i, (func, rec) in enumerate(records)]
+    assert harness.summary(mutants) == {
+        "killed": 4,
+        "score_per_function": {"m.f": [2, 2], "m.g": [2, 3], "m.h": [0, 1]},
+    }
 
 
 def test_a_child_that_never_exits_is_stopped_at_its_timeout(harness, tmp_path, monkeypatch):
