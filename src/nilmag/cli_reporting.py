@@ -87,15 +87,14 @@ def _unit_velocities(rng: np.random.Generator, n: int) -> np.ndarray:
 # individual checks
 
 
-def check_homogeneity(
-    seed: int, q_zero: bool = False, n: int = 1000, j_strength: float = 1.0
-) -> CheckResult:
+def check_homogeneity(seed: int, q_zero: bool = False, j_strength: float = 1.0) -> CheckResult:
     """Closed-form trajectories against group orbits, random sweep.
 
-    n random unit initial velocities with charges in [-2, 2] (or all
+    1000 random unit initial velocities with charges in [-2, 2] (or all
     zero), compared on a 101-point grid over [0, 10] with the orbits of
     their homogeneous_generator.
     """
+    n = 1000
     rng = np.random.default_rng([seed, 2 if q_zero else 1])
     vel = _unit_velocities(rng, n)
     a, b, c = vel[:, 0], vel[:, 1], vel[:, 2]
@@ -111,16 +110,16 @@ def check_homogeneity(
     return _result(name, err, 1e-9)
 
 
-def check_orbit_formulas(seed: int, n: int = 500) -> CheckResult:
+def check_orbit_formulas(seed: int) -> CheckResult:
     """Matrix-exponential orbits against the literal coordinate display
-    for uncharged slant generators.
+    for 500 random uncharged slant generators.
 
     The display divides by the contact component twice, so instances are
     drawn with |c| >= 0.05; below that the printed formula itself loses
     digits while the kernel form stays accurate.
     """
     rng = np.random.default_rng([seed, 3])
-    vel = _unit_velocities(rng, n)
+    vel = _unit_velocities(rng, 500)
     while np.any(bad := np.abs(vel[:, 2]) < 0.05):
         vel[bad] = _unit_velocities(rng, int(bad.sum()))
     a, b, c = vel[:, 0:1], vel[:, 1:2], vel[:, 2:3]
@@ -147,18 +146,18 @@ _SWEEP_BLOCK = 100
 _SWEEP_H = 5e-3
 
 
-def check_ode_sweep(
-    seed: int, n: int = 200, s_max: float = 10.0, j_strength: float = 1.0
-) -> list[CheckResult]:
+def check_ode_sweep(seed: int, j_strength: float = 1.0) -> list[CheckResult]:
     """RK4 against the closed forms, plus conservation drifts.
 
-    n random instances with random start points in [-2, 2]^3, integrated
-    across [0, s_max]; position error is compared against the
+    200 random instances with random start points in [-2, 2]^3, integrated
+    across [0, 10]; position error is compared against the
     left-translated closed form at every step.  The RK4 states of a block
     of _SWEEP_BLOCK steps are buffered and compared in one pass, with the
     closed form on the whole (block, n) grid of s = k*_SWEEP_H, so memory
-    stays bounded by block x n whatever the step count.
+    stays bounded by block x n.  The steps fill whole blocks (a test
+    checks that _SWEEP_BLOCK divides round(10 / _SWEEP_H)).
     """
+    n = 200
     rng = np.random.default_rng([seed, 4])
     vel = _unit_velocities(rng, n)
     q = rng.uniform(-2.0, 2.0, n)
@@ -172,18 +171,17 @@ def check_ode_sweep(
     state = np.array((p0.x, p0.y, p0.z, cv.dx, cv.dy, cv.dz))
     ct0 = coord_to_frame(p0, cv).c
 
-    nsteps = int(round(s_max / _SWEEP_H))
+    nsteps = round(10.0 / _SWEEP_H)
     states = np.empty((_SWEEP_BLOCK, 6, n))
     # running maxima over the steps, one per trajectory
     pos_err2 = speed_err = angle_err = np.zeros(n)
     for k0 in range(1, nsteps + 1, _SWEEP_BLOCK):
-        m = min(_SWEEP_BLOCK, nsteps + 1 - k0)
-        for i in range(m):
+        for i in range(_SWEEP_BLOCK):
             state = batch_step(state, _SWEEP_H, q_rk4)
             states[i] = state
-        x, y, z, vx, vy, vz = states[:m].transpose(1, 0, 2)
+        x, y, z, vx, vy, vz = states.transpose(1, 0, 2)
 
-        s = np.arange(k0, k0 + m)[:, None] * _SWEEP_H
+        s = np.arange(k0, k0 + _SWEEP_BLOCK)[:, None] * _SWEEP_H
         closed = magnetic_point_from(p0, a, b, c, q, s)
         d2 = (x - closed.x) ** 2 + (y - closed.y) ** 2 + (z - closed.z) ** 2
         pos_err2 = np.maximum(pos_err2, np.max(d2, axis=0))
@@ -262,17 +260,17 @@ def check_go_grid() -> CheckResult:
     return _result("go_grid_classification", wrong, 0.0)
 
 
-def check_group_identities(seed: int, n: int = 1000) -> list[CheckResult]:
+def check_group_identities(seed: int) -> list[CheckResult]:
     """Subgroup product, matrix factorization, and the nilpotent BCH
-    identity on random coordinates in [-5, 5]."""
+    identity on 1000 random coordinate draws in [-5, 5]."""
     rng = np.random.default_rng([seed, 5])
     # row i holds instance i: (x, y, z, t), then the two BCH vectors
-    draws = rng.uniform(-5.0, 5.0, (n, 10))
+    draws = rng.uniform(-5.0, 5.0, (1000, 10))
     x, y, z, t = draws[:, :4].T
     g = osc_multiply(OscElement(x, y, z, 0.0), OscElement(0.0, 0.0, 0.0, t))
     sub_devs = (g.x - x, g.y - y, g.z - z, g.t - t)
 
-    # one matrix_exp per factor on the (n, 4, 4) stack of its matrix forms
+    # one matrix_exp per factor on the (1000, 4, 4) stack of its matrix forms
     exp_t = matrix_exp(algebra_matrix(OscVector(x, y, z, 0.0)))
     exp_r = matrix_exp(algebra_matrix(OscVector(0.0, 0.0, 0.0, t)))
     fac_devs = exp_t @ exp_r - osc_to_matrix(OscElement(x, y, z, t))
@@ -297,11 +295,11 @@ def check_group_identities(seed: int, n: int = 1000) -> list[CheckResult]:
     ]
 
 
-def check_frame_gram(seed: int, n: int = 1000) -> CheckResult:
-    """Orthonormality of the frame under the coordinate metric at random
-    points."""
+def check_frame_gram(seed: int) -> CheckResult:
+    """Orthonormality of the frame under the coordinate metric at 1000
+    random points."""
     rng = np.random.default_rng([seed, 6])
-    p = NilPoint(*rng.uniform(-5.0, 5.0, (n, 3)).T)
+    p = NilPoint(*rng.uniform(-5.0, 5.0, (1000, 3)).T)
     frame = [FrameVector(1, 0, 0), FrameVector(0, 1, 0), FrameVector(0, 0, 1)]
     coords = [frame_to_coord(p, f) for f in frame]
     # gram[i, j] holds <E_i, E_j> at every point

@@ -29,14 +29,19 @@ from .lie_core import NilPoint, _real_array, _real_scalar
 
 @dataclass(frozen=True)
 class InitialData:
-    """Start point, unit frame velocity, and charge of a trajectory."""
+    """Start point, unit frame velocity, and charge of a trajectory; the
+    charge is read as a field is, and ShapeError if it widens the state."""
 
     start: NilPoint
     velocity: FrameVector
     q: float = 0.0
 
     def __post_init__(self):
-        _require_unit(*astuple(self.velocity), self.q, *astuple(self.start))
+        *fields, q = _require_unit(*astuple(self.velocity), *astuple(self.start), self.q)
+        state = np.broadcast_shapes(*(f.shape for f in fields))
+        if np.broadcast_shapes(state, q.shape) != state:
+            raise ShapeError(f"a charge of shape {q.shape} on a state of shape {state}")
+        vars(self)["q"] = q if q.ndim else float(q)
 
 
 @dataclass(frozen=True)

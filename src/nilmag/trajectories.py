@@ -69,7 +69,7 @@ def magnetic_velocity(a: float, b: float, c: float, q: float, s: float) -> Frame
     The contact cosine c is a first integral, the planar part rotates at
     rate q + c.  Broadcasts and rejects bad input like magnetic_point.
     """
-    _require_unit(a, b, c, q, s)
+    a, b, c, q, s = _require_unit(a, b, c, q, s)
     u = (q + c) * s
     cu = np.cos(u)
     su = np.sin(u)
@@ -87,7 +87,7 @@ def homogeneous_generator(
     coupling, c + q * j_strength; verify's fault injection sets it.
     Rejects bad input as magnetic_point does, non-unit (a, b, c) included.
     """
-    _require_unit(a, b, c, q, j_strength)
+    a, b, c, q, j_strength = _require_unit(a, b, c, q, j_strength)
     return OscVector(a, b, c, c + q * j_strength)
 
 

@@ -150,9 +150,9 @@ def test_wrong_generator_coefficient_fails_homogeneity(monkeypatch):
         return OscVector(a, b, c, 1.01 * c + q * j_strength)
 
     monkeypatch.setattr(cli_reporting, "homogeneous_generator", wrong_charge)
-    assert not check_homogeneity(SEED, n=50).passed
+    assert not check_homogeneity(SEED).passed
     monkeypatch.setattr(cli_reporting, "homogeneous_generator", wrong_contact)
-    assert not check_orbit_formulas(SEED, n=50).passed
+    assert not check_orbit_formulas(SEED).passed
 
 
 def test_wrong_cross_sign_fails_reeb_lorentz(monkeypatch):
@@ -195,14 +195,14 @@ def test_wrong_contact_cosine_fails_the_contact_angle(monkeypatch):
         return FrameVector(v.dx, v.dy, v.dz + 0.51 * (v.dx * p.y - p.x * v.dy))
 
     monkeypatch.setattr(cli_reporting, "coord_to_frame", wrong)
-    results = {r.name: r for r in check_ode_sweep(SEED, n=20, s_max=1.0)}
+    results = {r.name: r for r in check_ode_sweep(SEED)}
     assert not results["conservation_contact_angle"].passed
 
 
 def test_nan_coupling_fails_the_integrator_checks():
     """A NaN coupling must fail the sweep and the convergence order, not
     vanish from their maxima."""
-    results = check_ode_sweep(SEED, n=20, s_max=1.0, j_strength=math.nan)
+    results = check_ode_sweep(SEED, j_strength=math.nan)
     results.append(check_convergence(math.nan))
     assert [r.name for r in results] == [
         "ode_vs_closed_form",
@@ -235,42 +235,42 @@ def u_tensor_one_nan(basis, x, y):
 
 
 # report name -> (function replaced, its stand-in giving one NaN instance,
-# check); the instance counts are small, the NaN is in instance 2 or 3
+# check) at verify's sizes; the NaN is in instance 2 or 3
 NAN_INSTANCES = {
     "bch_nil": (
         "nil_multiply",
         lambda p, q: NilPoint(*one_nan(astuple(nil_multiply(p, q)), (0, 3))),
-        lambda: check_group_identities(SEED, n=5)[2],
+        lambda: check_group_identities(SEED)[2],
     ),
     "frame_gram": (
         "metric",
         lambda p, v, w: one_nan(metric(p, v, w), 2),
-        lambda: check_frame_gram(SEED, n=5),
+        lambda: check_frame_gram(SEED),
     ),
     "group_factorization": (
         "matrix_exp",
         lambda m: one_nan(matrix_exp(m), 3),
-        lambda: check_group_identities(SEED, n=5)[1],
+        lambda: check_group_identities(SEED)[1],
     ),
     "homogeneity_geodesic": (
         "orbit_grid",
         orbit_grid_one_nan,
-        lambda: check_homogeneity(SEED, q_zero=True, n=5),
+        lambda: check_homogeneity(SEED, q_zero=True),
     ),
     "homogeneity_magnetic": (
         "orbit_grid",
         orbit_grid_one_nan,
-        lambda: check_homogeneity(SEED, n=5),
+        lambda: check_homogeneity(SEED),
     ),
     "matrix_subgroup_product": (
         "osc_multiply",
         lambda g, h: OscElement(*one_nan(astuple(osc_multiply(g, h)), (0, 3))),
-        lambda: check_group_identities(SEED, n=5)[0],
+        lambda: check_group_identities(SEED)[0],
     ),
     "orbit_coordinate_formulas": (
         "orbit_grid",
         orbit_grid_one_nan,
-        lambda: check_orbit_formulas(SEED, n=5),
+        lambda: check_orbit_formulas(SEED),
     ),
     "reeb_lorentz_identities": (
         "contact_form",

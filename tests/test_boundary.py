@@ -208,3 +208,49 @@ class TestValueTypes:
         view = np.zeros((4, 6))[:, ::2]
         got = cls(view, *[0.0] * (len(fields(cls)) - 1))
         assert getattr(got, fields(cls)[0].name) is view
+
+
+class TestComputedOnTheReadInput:
+    """A function computes on the arrays its input rule returns, so a
+    float32 or a list gives the bits of the same numbers as float64."""
+
+    Q32 = np.float32(0.3)  # its float64 value is 0.30000001192092896
+
+    def test_a_float32_charge_gives_the_float64_generator(self):
+        got = nilmag.homogeneous_generator(*V, self.Q32)
+        assert got == nilmag.homogeneous_generator(*V, float(self.Q32))
+        assert got.e4 == 1.100000011920929
+
+    def test_a_float32_charge_gives_the_float64_velocity(self):
+        got = nilmag.magnetic_velocity(*V, self.Q32, 2.0)
+        assert got == nilmag.magnetic_velocity(*V, float(self.Q32), 2.0)
+
+    def test_a_float32_charge_integrates_in_float64(self):
+        def states(q):
+            init = InitialData(NilPoint(*P), FrameVector(*V), q)
+            return nilmag.integrate(init, StepConfig(1e-3, 100))
+
+        init = InitialData(NilPoint(*P), FrameVector(*V), np.float32(0.5))
+        assert type(init.q) is float
+        got = states(np.float32(0.5))
+        assert got.dtype == np.float64
+        assert np.array_equal(got, states(0.5))
+
+    def test_lists_give_the_velocity_of_arrays(self):
+        got = nilmag.magnetic_velocity([0.6], [0.0], [0.8], 0.5, 1.0)
+        want = nilmag.magnetic_velocity(*np.array([[0.6], [0.0], [0.8]]), 0.5, 1.0)
+        assert all(np.array_equal(g, w) for g, w in zip(_fields(got), _fields(want)))
+
+    def test_a_list_charge_integrates_as_an_array(self):
+        def states(q):
+            init = InitialData(NilPoint([0.5], [-1.0], [2.0]), FrameVector([0.6], [0.0], [0.8]), q)
+            return nilmag.integrate(init, StepConfig(1e-2, 10))
+
+        got = states([0.5])
+        assert got.shape == (11, 6, 1)
+        assert np.array_equal(got, states(np.array([0.5])))
+
+    @pytest.mark.parametrize("q", [[0.5], np.array([0.5, 0.6])])
+    def test_a_charge_with_a_shape_the_state_lacks_raises_shape_error(self, q):
+        with pytest.raises(ShapeError, match="charge"):
+            InitialData(NilPoint(*P), FrameVector(*V), q)

@@ -396,20 +396,14 @@ def stepwise_ode_sweep(seed, n, h, s_max):
 
 
 class TestBlockedSweep:
-    @pytest.mark.parametrize(
-        "n, blocks",
-        [
-            (7, 1.23),  # a full block and a partial one
-            (1, 2.5),
-            (3, 2.0),  # a whole number of blocks
-        ],
-    )
-    def test_matches_stepwise_sweep_exactly(self, n, blocks):
-        # s_max in blocks of steps, so each case covers the same blocks at
-        # any _SWEEP_H
-        s_max = blocks * _SWEEP_H * _SWEEP_BLOCK
-        results = check_ode_sweep(11, n=n, s_max=s_max)
-        assert [r.max_error for r in results] == stepwise_ode_sweep(11, n, _SWEEP_H, s_max)
+    def test_steps_fill_whole_blocks(self):
+        # check_ode_sweep has no partial block: under a step that leaves
+        # one, its last block would run past s = 10
+        assert round(10.0 / _SWEEP_H) % _SWEEP_BLOCK == 0
+
+    def test_matches_stepwise_sweep_exactly(self):
+        results = check_ode_sweep(11)
+        assert [r.max_error for r in results] == stepwise_ode_sweep(11, 200, _SWEEP_H, 10.0)
         assert all(r.max_error > 0.0 for r in results)
 
     def test_a_small_charge_fault_fails_the_closed_form_check(self):
