@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ShapeError
 from .lie_core import NilPoint, OscVector, _combines, _read_fields, _real_arrays, bracket
 
 
@@ -209,9 +209,11 @@ def u_tensor(basis: Sequence[OscVector], x: OscVector, y: OscVector) -> OscVecto
     U vanishes identically exactly when the decomposition is naturally
     reductive.
 
-    Raises DomainError when x or y is outside the span of the basis
-    (component along the complement above 1e-12).
+    Raises ShapeError unless each field is one number, and DomainError
+    when x or y is outside the span of the basis (complement part > 1e-12).
     """
+    if any(np.ndim(f) for v in (*basis, x, y) for f in vars(v).values()):
+        raise ShapeError("u_tensor takes vectors of one number per field")
     # columns: x, y, then [Z, Y] and [Z, X] for each basis Z in turn
     brackets = [w for z in basis for w in (bracket(z, y), bracket(z, x))]
     coef = _coefficients(basis, x, y, *brackets)

@@ -29,19 +29,18 @@ from .lie_core import NilPoint, _real_array, _real_scalar
 
 @dataclass(frozen=True)
 class InitialData:
-    """Start point, unit frame velocity, and charge of a trajectory; the
-    charge is read as a field is, and ShapeError if it widens the state."""
+    """Start point, unit frame velocity, and charge of one trajectory: each
+    field one number, else ShapeError (batch_step steps many at once)."""
 
     start: NilPoint
     velocity: FrameVector
     q: float = 0.0
 
     def __post_init__(self):
-        *fields, q = _require_unit(*astuple(self.velocity), *astuple(self.start), self.q)
-        state = np.broadcast_shapes(*(f.shape for f in fields))
-        if np.broadcast_shapes(state, q.shape) != state:
-            raise ShapeError(f"a charge of shape {q.shape} on a state of shape {state}")
-        vars(self)["q"] = q if q.ndim else float(q)
+        fields = _require_unit(*astuple(self.velocity), *astuple(self.start), self.q)
+        if any(f.ndim for f in fields):
+            raise ShapeError(f"one number per field, got shapes {[f.shape for f in fields]}")
+        vars(self)["q"] = float(fields[-1])
 
 
 @dataclass(frozen=True)
@@ -115,14 +114,14 @@ def integrate(init: InitialData, cfg: StepConfig) -> np.ndarray:
 # trajectories is one (6, n) array whose rows are x, y, z, vx, vy, vz.
 # At n = 200 a step costs numpy's per-call overhead, so batch_step writes
 # _rhs's formula again, in place on row views built once per (n, thread):
-# about 170 ns per trajectory-step against 315-370 ns for _rhs on new
-# arrays, while _rhs on persistent buffers kept 0.86-0.97 of that time
-# (2-core Xeon, best of 7-9 interleaved runs of 10 000 steps).  Its
-# outputs are positional because numpy parses an out= keyword on every
-# call: with out= the same 66 calls took about 210 ns.
-# TestBatch::test_steps_agree_with_scalar_integrator pins every column to
-# _step bit for bit.  _step stays for single trajectories (rk4_states):
-# at n = 1 it takes 2.0 us per step, batch_step about 50 us.
+# about 195 ns per trajectory-step, 0.41-0.44 of the 440-480 ns of _step
+# on arrays.  Its outputs are positional because numpy parses an out=
+# keyword on every call, which made the same calls 1.07 times as long.
+# At n = 1, _step takes 2.4 us per step and batch_step 44-48 us, so
+# rk4_states steps one trajectory with _step.  (timeit, best of 9
+# interleaved repeats of 5 000 steps; 2-core Xeon, Python 3.11.7, numpy
+# 2.4.6.)  TestBatch::test_steps_agree_with_scalar_integrator pins every
+# column to _step bit for bit.
 
 
 @functools.lru_cache(maxsize=8)

@@ -241,16 +241,22 @@ class TestComputedOnTheReadInput:
         want = nilmag.magnetic_velocity(*np.array([[0.6], [0.0], [0.8]]), 0.5, 1.0)
         assert all(np.array_equal(g, w) for g, w in zip(_fields(got), _fields(want)))
 
-    def test_a_list_charge_integrates_as_an_array(self):
-        def states(q):
-            init = InitialData(NilPoint([0.5], [-1.0], [2.0]), FrameVector([0.6], [0.0], [0.8]), q)
-            return nilmag.integrate(init, StepConfig(1e-2, 10))
+    TWO_STARTS = ([0.0, 1.0], [0.0, 1.0], [0.0, 1.0])
 
-        got = states([0.5])
-        assert got.shape == (11, 6, 1)
-        assert np.array_equal(got, states(np.array([0.5])))
-
-    @pytest.mark.parametrize("q", [[0.5], np.array([0.5, 0.6])])
-    def test_a_charge_with_a_shape_the_state_lacks_raises_shape_error(self, q):
-        with pytest.raises(ShapeError, match="charge"):
-            InitialData(NilPoint(*P), FrameVector(*V), q)
+    @pytest.mark.parametrize(
+        "start, velocity, q",
+        [
+            (P, V, [0.5]),
+            (P, V, np.array([0.5, 0.6])),
+            # these three were built, and integrate then raised numpy's bare
+            # ValueError or returned an (n + 1, 6, 2) array
+            (([0.0], 0.0, 0.0), V, 0.5),
+            (TWO_STARTS, V, 0.5),
+            (TWO_STARTS, ([0.6, 0.0], [0.0, 0.6], [0.8, 0.8]), [0.5, 0.6]),
+        ],
+        ids=["q1", "q2", "x1", "p2", "all2"],
+    )
+    def test_an_array_field_raises_shape_error(self, start, velocity, q):
+        # InitialData is one trajectory; batch_step steps many
+        with pytest.raises(ShapeError, match="one number per field"):
+            InitialData(NilPoint(*start), FrameVector(*velocity), q)

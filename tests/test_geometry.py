@@ -301,6 +301,15 @@ class TestUTensor:
         with pytest.raises(DomainError, match="complex"):
             u_tensor(NIL_BASIS, OscVector(1j, 0.0, 0.0, 0.0), OSC_E1)
 
+    @pytest.mark.parametrize("k", [0, 3, 4])
+    def test_an_array_field_raises_shape_error(self, k):
+        # k picks a basis vector, x or y; an array in the span check or in
+        # the solve used to raise numpy's bare ValueError
+        vectors = [*NIL_BASIS, OSC_E1, OSC_E2]
+        vectors[k] = OscVector(*np.multiply.outer(fvec4(vectors[k]), np.ones(2)))
+        with pytest.raises(ShapeError, match="one number"):
+            u_tensor(vectors[:3], *vectors[3:])
+
     def test_rejects_singular_basis(self):
         # E4 is the complement, so it cannot also be a basis vector
         with pytest.raises(DomainError):
