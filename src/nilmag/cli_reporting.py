@@ -374,24 +374,43 @@ _ORBIT_FIELDS = ("s", "x", "y", "z")
 _MAX_STEPS = np.iinfo(np.intp).max // (8 * len(_EMIT_FIELDS)) - 1
 
 
+def _grid(args: argparse.Namespace) -> np.ndarray:
+    """s = 0, ..., s-max in steps intervals; too many rows fail here, before any step."""
+    if not 1 <= args.steps <= _MAX_STEPS:
+        raise DomainError(f"steps must be between 1 and {_MAX_STEPS}")
+    if not (args.s_max > 0.0):
+        raise DomainError("s-max must be positive")
+    return np.arange(args.steps + 1) * args.s_max / args.steps
+
+
 def _emit_rows(args: argparse.Namespace) -> np.ndarray:
     """The emit table: closed forms or every per-th RK4 state, then one
     row builder for both sources."""
+    s = _grid(args)
+    if not (args.h > 0.0):
+        raise DomainError("h must be positive")
+    # the RK4 steps per row; islice refuses a stride past 2**63 - 1
+    if args.source == "rk4" and not args.s_max / args.steps / args.h < 2.0 ** 63:
+        raise DomainError("s-max / (steps * h) must be below 2**63")
+    try:
+        norm = math.sqrt(args.a ** 2 + args.b ** 2 + args.c ** 2)
+    except OverflowError:
+        raise DomainError("velocity (a, b, c) is too large to normalise") from None
+    if abs(norm - 1.0) > 1e-6:
+        raise DomainError(f"velocity (a, b, c) has norm {norm:.8g}, more than 1e-6 from 1")
+    a, b, c = args.a / norm, args.b / norm, args.c / norm
     p0 = NilPoint(args.x0, args.y0, args.z0)
     if args.source == "closed":
-        s = np.arange(args.steps + 1) * args.s_max / args.steps
-        point = magnetic_point_from(p0, args.a, args.b, args.c, args.q, s)
-        fv = magnetic_velocity(args.a, args.b, args.c, args.q, s)
+        point = magnetic_point_from(p0, a, b, c, args.q, s)
+        fv = magnetic_velocity(a, b, c, args.q, s)
         cv = frame_to_coord(point, fv)
     else:
         # land the RK4 steps exactly on the requested grid
         per = max(1, round((args.s_max / args.steps) / args.h))
         n = args.steps * per
         h_eff = args.s_max / n
-        # the grid first: a row count too large to allocate fails here,
-        # before any RK4 step
         s = np.arange(0, n + 1, per) * h_eff
-        init = InitialData(p0, FrameVector(args.a, args.b, args.c), args.q)
+        init = InitialData(p0, FrameVector(a, b, c), args.q)
         kept = islice(rk4_states(init, StepConfig(h_eff, n)), 0, None, per)
         states = np.array(list(kept))
         point = NilPoint(*states[:, :3].T)
@@ -424,8 +443,8 @@ def _generator(args: argparse.Namespace) -> OscVector:
 
 
 def run_orbit(args: argparse.Namespace) -> tuple[str, int]:
+    s = _grid(args)
     coords = orbit_grid(_generator(args), args.s_max, args.steps)
-    s = np.arange(args.steps + 1) * args.s_max / args.steps
     return _serialise(_ORBIT_FIELDS, np.column_stack((s, coords)), args.format), 0
 
 
@@ -440,38 +459,10 @@ def run_criterion(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def run_verify(args: argparse.Namespace) -> tuple[str, int]:
+    if args.seed < 0:
+        raise DomainError("seed must be non-negative")
     checks = run_checks(args.seed, 1.0 + args.fault_j)
     return report_json(checks), 0 if all(c.passed for c in checks) else 1
-
-
-def _validate(args: argparse.Namespace) -> None:
-    """Reject out-of-domain flags with DomainError and normalise the emit
-    velocity; fault_j is exempt so the suite can be fed a NaN coupling."""
-    for name, value in vars(args).items():
-        if isinstance(value, float) and name != "fault_j" and not math.isfinite(value):
-            raise DomainError(f"--{name.replace('_', '-')} must be finite")
-    if args.command == "verify" and args.seed < 0:
-        raise DomainError("seed must be non-negative")
-    if args.command in ("emit", "orbit"):
-        if not 1 <= args.steps <= _MAX_STEPS:
-            raise DomainError(f"steps must be between 1 and {_MAX_STEPS}")
-        if not (args.s_max > 0.0):
-            raise DomainError("s-max must be positive")
-    if args.command == "emit":
-        if not (args.h > 0.0):
-            raise DomainError("h must be positive")
-        # the RK4 steps per row; islice refuses a stride past 2**63 - 1
-        if args.source == "rk4" and not args.s_max / args.steps / args.h < 2.0 ** 63:
-            raise DomainError("s-max / (steps * h) must be below 2**63")
-        try:
-            norm = math.sqrt(args.a ** 2 + args.b ** 2 + args.c ** 2)
-        except OverflowError:
-            raise DomainError("velocity (a, b, c) is too large to normalise") from None
-        if abs(norm - 1.0) > 1e-6:
-            raise DomainError(
-                f"velocity (a, b, c) has norm {norm:.8g}, more than 1e-6 from 1"
-            )
-        args.a, args.b, args.c = args.a / norm, args.b / norm, args.c / norm
 
 
 def _join_negative_values(argv: list[str]) -> list[str]:
@@ -550,7 +541,10 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser().parse_args(_join_negative_values(argv))
     try:
-        _validate(args)
+        # a NaN fault_j feeds the suite a NaN coupling; each run_* checks its other flags
+        for name, value in vars(args).items():
+            if isinstance(value, float) and name != "fault_j" and not math.isfinite(value):
+                raise DomainError(f"--{name.replace('_', '-')} must be finite")
         # overflow gives a non-finite value, which _serialise rejects and
         # _result fails, so numpy's warnings are not needed
         with np.errstate(all="ignore"):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import threading
 from dataclasses import astuple, dataclass
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .geometry import FrameVector, _require_unit, frame_to_coord
-from .lie_core import NilPoint, _real_array, _real_scalar
+from .lie_core import NilPoint, _real_array, _real_count, _real_scalar
 
 
 @dataclass(frozen=True)
@@ -55,9 +54,7 @@ class StepConfig:
         # written so that a NaN step fails the test
         if not 0.0 < h < math.inf:
             raise DomainError("step size must be one positive finite number")
-        vars(self)["h"] = h
-        if not (isinstance(self.n, numbers.Integral) and self.n >= 0):
-            raise DomainError("step count must be a nonnegative integer")
+        vars(self).update(h=h, n=_real_count(self.n, "step count", 0))
 
 
 def _rhs(x, y, vx, vy, vz, q):

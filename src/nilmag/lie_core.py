@@ -50,6 +50,15 @@ def _real_scalar(x, what: str) -> float:
     return float(a)
 
 
+def _real_count(n, what: str, least: int) -> int:
+    """n as a count, a Python int: read by _real_scalar, then an integer in [least, 2**63)."""
+    _real_scalar(n, what)
+    a = np.asarray(n)
+    if a.dtype.kind not in "iu" or not least <= a < 2**63:
+        raise DomainError(f"{what} must be an integer from {least} to 2**63 - 1")
+    return int(a)
+
+
 def _real_arrays(*xs) -> list[np.ndarray]:
     """Each x read by _real_array, at its own shape; ShapeError unless they
     broadcast together (np.broadcast_shapes has no 32-input limit)."""

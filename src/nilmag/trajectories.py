@@ -23,7 +23,6 @@ exactly what the verification suite checks).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import astuple
 
 import numpy as np
@@ -31,7 +30,8 @@ import numpy as np
 from .errors import DomainError, ShapeError
 from .geometry import FrameVector, _require_unit
 from .lie_core import (
-    NilPoint, OscVector, _real_array, _real_scalar, algebra_matrix, matrix_exp, nil_multiply,
+    NilPoint, OscVector, _real_array, _real_count, _real_scalar, algebra_matrix, matrix_exp,
+    nil_multiply,
 )
 
 # Taylor coefficients of K3, (-1)^k / (2k+3)!; enough terms for |u| < 0.5
@@ -145,9 +145,9 @@ def orbit_grid(w, s_max: float, steps: int) -> np.ndarray:
     w is one generator (OscVector of scalars or length-4 array) or a
     stack of shape (n, 4).  Returns (steps+1, 3) or (n, steps+1, 3)
     accordingly.  s_max is one real number.  Raises ShapeError for any
-    other shape, DomainError for complex input or unless steps is an
-    integer of at least 1.  A non-finite span or an overflowing
-    generator gives non-finite rows, without a numpy warning.
+    other shape, DomainError for complex input, a grid numpy cannot size
+    or unless steps is an integer in [1, 2**63).  A non-finite span or an
+    overflowing generator gives non-finite rows, without a numpy warning.
 
     One stacked matrix_exp gives M = exp(ds W) for every generator.
     Only the last column M^k e4 of exp(k ds W) is read, so the grid is
@@ -159,8 +159,7 @@ def orbit_grid(w, s_max: float, steps: int) -> np.ndarray:
     rows = _real_array(astuple(w) if is_vector else w)
     if rows.shape[-1:] != (4,) or rows.ndim > (1 if is_vector else 2):
         raise ShapeError(f"expected 4 components or an (n, 4) stack, got shape {rows.shape}")
-    if not (isinstance(steps, numbers.Integral) and steps >= 1):
-        raise DomainError("steps must be an integer of at least 1")
+    steps = _real_count(steps, "steps", 1)
     single = rows.ndim == 1
     rows = rows.reshape(-1, 4)
     n = rows.shape[0]
@@ -169,7 +168,10 @@ def orbit_grid(w, s_max: float, steps: int) -> np.ndarray:
     step_mats = matrix_exp(algebra_matrix(OscVector(*(ds * rows.T))))
 
     # cols[..., k] = M^k e4; the columns written never overlap those read
-    cols = np.empty((n, 4, steps + 1))
+    try:
+        cols = np.empty((n, 4, steps + 1))
+    except ValueError:  # numpy cannot size it; MemoryError passes
+        raise DomainError(f"{n} orbits of {steps} steps are too large to allocate") from None
     cols[:, :, 0] = (0.0, 0.0, 0.0, 1.0)
     cols[:, :, 1] = step_mats[:, :, 3]
     power, m = step_mats, 1

@@ -31,7 +31,6 @@ from nilmag.cli_reporting import (
     _join_negative_values,
     _result,
     _serialise,
-    _validate,
     main,
     report_json,
 )
@@ -175,11 +174,12 @@ class TestEmit:
              "--y0", "-1.1", "--z0", "2", "--s-max", "2", "--steps", "40",
              "--h", repr(h), "--source", "rk4"]
         )
-        _validate(args)
         rows = _emit_rows(args)
         h_eff = 2.0 / (40 * per)
+        # _emit_rows normalises the velocity it reads, as here
+        norm = math.sqrt(0.8 ** 2 + 0.6 ** 2)
         init = InitialData(
-            NilPoint(0.3, -1.1, 2.0), FrameVector(args.a, args.b, args.c), 1.9
+            NilPoint(0.3, -1.1, 2.0), FrameVector(0.8 / norm, 0.0, 0.6 / norm), 1.9
         )
         states = list(rk4_states(init, StepConfig(h_eff, 40 * per)))
         assert rows.shape == (41, 9)
@@ -537,10 +537,17 @@ class TestVerify:
         assert data["checks"][0]["max_error"] is None
         assert data["pass"] is False
 
-    def test_fault_j_accepts_nan(self):
-        args = _build_parser().parse_args(["verify", "--fault-j", "nan"])
-        _validate(args)
-        assert math.isnan(args.fault_j)
+    def test_fault_j_accepts_nan(self, capsys, monkeypatch):
+        runs = []
+
+        def recording_checks(seed, j_strength):
+            runs.append(j_strength)
+            return [_result("homogeneity_magnetic", 0.0, 1e-9)]
+
+        monkeypatch.setattr(cli_reporting, "run_checks", recording_checks)
+        code, _, err = run_cli(capsys, "verify", "--fault-j", "nan")
+        assert (code, err) == (0, "")
+        assert len(runs) == 1 and math.isnan(runs[0])
 
     def test_overflowing_fault_writes_no_warning(self, capsys, monkeypatch):
         # verify runs under main's errstate like every command: an
@@ -569,6 +576,28 @@ FLOAT_FLAGS = [
 REQUIRED = {"orbit": ("--w1", "1", "--w2", "0", "--w3", "1", "--w4", "1")}
 REQUIRED["criterion"] = REQUIRED["orbit"]
 
+# one refused flag per command line, and the one stderr line it gives
+REFUSALS = [
+    *(((command, "--steps", "0"), f"steps must be between 1 and {cli_reporting._MAX_STEPS}")
+      for command in ("emit", "orbit")),
+    *(((command, "--s-max", "0"), "s-max must be positive") for command in ("emit", "orbit")),
+    (("emit", "--h", "0"), "h must be positive"),
+    (("emit", "--source", "rk4", "--s-max", "1e20", "--steps", "1", "--h", "1e-3"),
+     "s-max / (steps * h) must be below 2**63"),
+    (("emit", "--a", "1e200"), "velocity (a, b, c) is too large to normalise"),
+    (("emit", "--a", "1", "--c", "1"),
+     "velocity (a, b, c) has norm 1.4142136, more than 1e-6 from 1"),
+    (("verify", "--seed", "-1"), "seed must be non-negative"),
+    (("emit", "--q", "inf"), "--q must be finite"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS, ids=[" ".join(a) for a, _ in REFUSALS])
+def test_refusal_message(capsys, argv, message):
+    command, *flags = argv
+    code, out, err = run_cli(capsys, command, *REQUIRED.get(command, ()), *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestNegativeFloatValues:
     """A negative value in exponent notation, or -inf, is read as the
@@ -588,7 +617,7 @@ class TestNegativeFloatValues:
         assert capsys.readouterr().out.startswith("usage: nilmag emit")
 
     def test_abbreviated_flag_takes_the_value(self, capsys):
-        # --s-m is argparse's prefix of --s-max, so the value reaches _validate
+        # --s-m is argparse's prefix of --s-max, so the value reaches the s-max check
         code, out, err = run_cli(capsys, "emit", "--s-m", "-1e0")
         assert (code, out, err) == (2, "", "error: s-max must be positive\n")
 

@@ -209,6 +209,25 @@ class TestStepConfig:
         assert type(StepConfig(np.float64(1e-3), 3).h) is float
         assert StepConfig(1, 3).h == 1.0
 
+    @pytest.mark.parametrize("n", [np.array(3), np.int64(3), np.uint8(3)], ids=repr)
+    def test_a_numpy_count_is_read_as_an_int(self, n):
+        # a 0-d integer array used to be refused with DomainError
+        cfg = StepConfig(1e-3, n)
+        assert type(cfg.n) is int and cfg.n == 3
+
+    @pytest.mark.parametrize(
+        "n, error",
+        [(np.array([3]), ShapeError), (np.zeros((2, 2), int), ShapeError),
+         (2**63, DomainError), (10**30, DomainError), (True, DomainError),
+         (np.array(3.0), DomainError)],
+        ids=["(1,)", "(2, 2)", "2**63", "10**30", "bool", "0-d float"],
+    )
+    def test_rejects_a_count_that_is_not_one_int64(self, n, error):
+        # a shaped count used to raise DomainError, and a count past int64
+        # or a bool used to be taken
+        with pytest.raises(error):
+            StepConfig(1e-3, n)
+
 
 class TestBatch:
     def test_steps_agree_with_scalar_integrator(self):

@@ -479,6 +479,23 @@ class TestGrids:
         with pytest.raises(DomainError):
             orbit_grid(OscVector(1.0, 0.0, 1.0, 1.0), 2.0, 2.5)
 
+    def test_orbit_grid_reads_a_0d_integer_array_as_its_count(self):
+        w = OscVector(1.0, 0.0, 1.0, 1.0)
+        assert np.array_equal(orbit_grid(w, 2.0, np.array(3)), orbit_grid(w, 2.0, 3))
+
+    @pytest.mark.parametrize(
+        "steps, error",
+        [(np.array([3]), ShapeError), (2**62, DomainError), (2**63, DomainError),
+         (10**30, DomainError)],
+        ids=["(1,)", "2**62", "2**63", "10**30"],
+    )
+    def test_orbit_grid_rejects_a_count_it_cannot_read_or_size(self, steps, error):
+        # these used to raise DomainError for the shape and numpy's bare
+        # ValueError ("array is too big", "maximum allowed dimension
+        # exceeded") for the counts
+        with pytest.raises(error):
+            orbit_grid(OscVector(1.0, 0.0, 1.0, 1.0), 2.0, steps)
+
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 5), (2, 2, 4)])
     def test_orbit_grid_rejects_wrong_generator_shape(self, shape):
         # a (n, 3) stack used to give the orbits of (w1, w2, w3, 0)
